@@ -42,7 +42,7 @@ from .absorption import (AbsorberFamily, AbsorbingPath, AbsorbParams,
                          default_reservoir_size, default_strong_target,
                          default_sampling_probability, select_disjoint_family)
 from .generators import random_min_semidegree, random_oriented, random_tournament
-from .hamilton import (CoverResult, HamiltonResult, PipelineParams,
-                       StageRecord, TooLargeError, exact_brute, exact_dp,
-                       find_hamilton_absorption, greedy_path_cover)
+from .hamilton import (CertificateError, CoverResult, HamiltonResult,
+                       PipelineParams, StageRecord, TooLargeError, exact_brute,
+                       exact_dp, find_hamilton_absorption, greedy_path_cover)
 from .seeds import derive_seed, rng_for

@@ -74,3 +74,19 @@ def weak_absorbers_oracle(g, u, v, alpha1):
         if inner_ok[key]:
             out.append((w, wp, zp, z))
     return sorted(out)
+
+
+def endpoint_table_oracle(g):
+    """Held-Karp table indexed by vertex set, in push form: entry ``mask`` is
+    the bit set of ends of paths from vertex 0 that visit exactly ``mask``."""
+    n = g.n
+    out = [sum(1 << w for w in range(n) if g.has_arc(v, w)) for v in range(n)]
+    dp = [0] * (1 << n)
+    dp[1] = 1
+    for mask in range(1, 1 << n, 2):
+        for v in range(n):
+            if dp[mask] >> v & 1:
+                for w in range(n):
+                    if out[v] >> w & 1 and not mask >> w & 1:
+                        dp[mask | (1 << w)] |= 1 << w
+    return dp

@@ -2,7 +2,7 @@ from hypothesis import HealthCheck, settings
 
 settings.register_profile(
     "suite",
-    deadline=None,  # first numba-jit call can blow a per-example deadline
+    deadline=None,  # wall time per example varies too much on shared hosts
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )

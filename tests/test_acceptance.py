@@ -134,17 +134,20 @@ def test_criterion_4_gadget_oracle_equivalence():
 
 def test_criterion_5_implication_property():
     failures = []
-    # kernel semantics tied to the library checkers at n = 4
-    lib_bad = 0
-    for code in range(3 ** 6):
-        g = OrientedGraph(4, _exhaustive.graph_arcs_of_code(4, code))
-        if check_ore(g).satisfied and not check_semidegree_consequence(g).satisfied:
-            lib_bad += 1
-    if lib_bad != _exhaustive.count_implication_failures(4):
-        failures.append(("kernel mismatch at n=4", lib_bad))
+    # scan semantics tied to the library checkers at n = 4 and 5, on the
+    # count of threshold graphs (0 at n = 4, 64 at n = 5) and of failures
+    for n in (4, 5):
+        lib_ore = lib_bad = 0
+        for code in range(3 ** (n * (n - 1) // 2)):
+            g = OrientedGraph(n, _exhaustive.graph_arcs_of_code(n, code))
+            if check_ore(g).satisfied:
+                lib_ore += 1
+                lib_bad += not check_semidegree_consequence(g).satisfied
+        if (lib_ore, lib_bad) != _exhaustive.implication_counts(n):
+            failures.append((f"kernel mismatch at n={n}", lib_ore, lib_bad))
 
     for n in range(2, 7):
-        bad = _exhaustive.count_implication_failures(n)
+        _, bad = _exhaustive.implication_counts(n)
         if bad:
             failures.append((n, "exhaustive", bad))
 

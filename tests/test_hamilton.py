@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,10 @@ from oriham import (
     table_params,
     verify_hamilton_cycle,
 )
+from oriham import hamilton
+from oriham.seeds import derive_seed
+
+import _oracles
 
 
 def cycle_graph(n):
@@ -79,6 +86,69 @@ def test_dp_negative_cases():
 def test_dp_size_cap():
     with pytest.raises(TooLargeError):
         exact_dp(OrientedGraph.empty(25))
+
+
+def test_dp_endpoint_width_cap(monkeypatch):
+    def allocate(g):
+        raise AssertionError("table allocated before the width check")
+
+    monkeypatch.setattr(hamilton, "_endpoint_table", allocate)
+    with pytest.raises(TooLargeError, match="endpoint"):
+        exact_dp(OrientedGraph.empty(33), max_n=40)
+
+
+def _drop_arcs(g, keep):
+    return OrientedGraph(g.n, [(u, v) for u, v in g.arcs() if keep(u, v)])
+
+
+@pytest.mark.parametrize("density", (0.2, 0.5, 0.8))
+def test_endpoint_table_matches_oracle(density):
+    for n in range(1, 13):
+        g = random_oriented(n, density, derive_seed(0, "endpoint-table", n))
+        source, sink = n // 2, n - 1
+        for h in (g,
+                  _drop_arcs(g, lambda u, v: v != source and u != sink),
+                  _drop_arcs(g, lambda u, v: u != 0)):
+            oracle = _oracles.endpoint_table_oracle(h)
+            assert not any(oracle[0::2])
+            assert hamilton._endpoint_table(h).tolist() == oracle[1::2], (n, h.arcs())
+
+
+OPTIMIZED_RUN = """
+import sys
+import numpy as np
+from oriham import CertificateError, OrientedGraph, exact_brute, exact_dp, hamilton
+
+def check(name, solve, g):
+    try:
+        solve(g)
+    except CertificateError:
+        print(name, "raised")
+    else:
+        print(name, "returned")
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+c3 = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
+real_table = hamilton._endpoint_table
+# every end reachable through every set: the walk back ends at 3, not at 0
+hamilton._endpoint_table = lambda g: np.full(1 << (g.n - 1), (1 << g.n) - 1, np.uint32)
+check("dp walk-back", exact_dp, OrientedGraph(4, [(0, 1), (1, 3), (2, 3), (3, 0)]))
+hamilton._endpoint_table = real_table
+hamilton.verify_hamilton_cycle = lambda g, cycle: False
+check("dp verify", exact_dp, c3)
+check("brute verify", exact_brute, c3)
+"""
+
+
+def test_certificate_checks_survive_optimize():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(hamilton.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_RUN], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:3] == [
+        "dp walk-back raised", "dp verify raised", "brute verify raised"]
 
 
 arc_lists = st.lists(
