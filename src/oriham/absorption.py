@@ -23,9 +23,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Sequence
 
-from .graph import DiPath, OrientedGraph, iter_bits, mask_of
+from .graph import DiPath, InvalidPathError, OrientedGraph, iter_bits, mask_of
 from .seeds import derive_seed
 
 Pair = tuple[int, int]
@@ -58,44 +59,52 @@ class VertexNotAbsorbableError(ValueError):
 # -- connectors ----------------------------------------------------------------
 
 
+def _connectors(g: OrientedGraph, x: int, y: int, k: int, pool: int):
+    """Yield the k-connectors x -> w1 -> ... -> wk -> y whose internal
+    vertices lie in the bitmask ``pool`` (which excludes x and y), in
+    ascending lexicographic order."""
+    into_y = g.in_bits(y) & pool
+    if k == 1:
+        for w in iter_bits(g.out_bits(x) & into_y):
+            yield (w,)
+    elif k == 2:
+        for w1 in iter_bits(g.out_bits(x) & pool):
+            for w2 in iter_bits(g.out_bits(w1) & into_y & ~(1 << w1)):
+                yield (w1, w2)
+    else:
+        for w1 in iter_bits(g.out_bits(x) & pool):
+            for w2 in iter_bits(g.out_bits(w1) & pool & ~(1 << w1)):
+                for w3 in iter_bits(g.out_bits(w2) & into_y & ~(1 << w1 | 1 << w2)):
+                    yield (w1, w2, w3)
+
+
 def enumerate_connectors(g: OrientedGraph, u: int, v: int, k: int,
                          cap: int | None = None) -> list[tuple[int, ...]]:
     """All k-connectors of (u, v) in ascending lexicographic order.
 
     Connector vertices are distinct and avoid u and v.  ``cap`` truncates
-    the enumeration after that many tuples.
+    the enumeration after that many tuples (a cap below 1 keeps the first).
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
     g.check_vertex(u)
     g.check_vertex(v)
-    ex = ~mask_of((u, v))
-    found: list[tuple[int, ...]] = []
+    found = _connectors(g, u, v, k, g.full_mask() & ~mask_of((u, v)))
+    return list(islice(found, None if cap is None else max(cap, 1)))
 
-    def full() -> bool:
-        return cap is not None and len(found) >= cap
 
-    if k == 1:
-        for w in iter_bits(g.out_bits(u) & g.in_bits(v) & ex):
-            found.append((w,))
-            if full():
-                break
-        return found
-    if k == 2:
-        for w1 in iter_bits(g.out_bits(u) & ex):
-            for w2 in iter_bits(g.out_bits(w1) & g.in_bits(v) & ex & ~(1 << w1)):
-                found.append((w1, w2))
-                if full():
-                    return found
-        return found
-    for w1 in iter_bits(g.out_bits(u) & ex):
-        for w2 in iter_bits(g.out_bits(w1) & ex & ~(1 << w1)):
-            tail = g.out_bits(w2) & g.in_bits(v) & ex & ~mask_of((w1, w2))
-            for w3 in iter_bits(tail):
-                found.append((w1, w2, w3))
-                if full():
-                    return found
-    return found
+def _connector_within(g: OrientedGraph, x: int, y: int,
+                      pool: int) -> tuple[int, ...] | None:
+    """Smallest internal vertex tuple joining x to y inside ``pool`` (a
+    bitmask excluding x and y), lexicographically first at that size, or
+    None.  Zero internals means the arc itself."""
+    if g.has_arc(x, y):
+        return ()
+    for k in (1, 2, 3):
+        inner = next(_connectors(g, x, y, k, pool), None)
+        if inner is not None:
+            return inner
+    return None
 
 
 def count_connectors(g: OrientedGraph, u: int, v: int, k: int) -> int:
@@ -125,10 +134,8 @@ def connectivity_profile(g: OrientedGraph) -> ConnectivityProfile:
     pairs with none at any k are flagged."""
     best: dict[Pair, tuple[int, int]] = {}
     dead: list[Pair] = []
-    full = g.full_mask()
     for u in range(g.n):
-        absent = full & ~g.out_bits(u) & ~(1 << u)
-        for v in iter_bits(absent):
+        for v in iter_bits(g.non_out_bits(u)):
             for k in (1, 2, 3):
                 c = count_connectors(g, u, v, k)
                 if c:
@@ -362,12 +369,16 @@ def select_disjoint_family(candidates: dict[Pair, Sequence[tuple[int, ...]]],
 # -- reservoir -------------------------------------------------------------------
 
 
+# connectors kept per pair for the reservoir's family selection (eight
+# times as many are enumerated before the avoid/prefer filters), and the
+# sigma that sets the selection's reporting floor
+RESERVOIR_PER_PAIR_CAP = 8
+RESERVOIR_SIGMA = Fraction(1, 64)
+
+
 @dataclass
 class ReservoirParams:
     target_size: int | None = None   # vertex budget for the reservoir
-    per_pair_cap: int = 8
-    p: float = 1.0
-    sigma: Fraction = Fraction(1, 64)
     # when nonempty, reservoir vertices are drawn only from this set (the
     # pipeline passes the absorbable ones, so unused leftovers stay safe)
     prefer: frozenset[int] | None = None
@@ -415,7 +426,6 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int],
     families: dict[int, AbsorberFamily] = {}
     coverage: dict[Pair, int] = {}
     chosen: set[int] = set()
-    full = g.full_mask()
 
     for k in (1, 2, 3):
         room = (budget - len(chosen)) // k
@@ -426,23 +436,22 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int],
         for u in range(g.n):
             if u in excluded or u in chosen:
                 continue
-            absent = full & ~g.out_bits(u) & ~(1 << u) & ~avoid_mask
-            for v in iter_bits(absent):
+            for v in iter_bits(g.non_out_bits(u) & ~avoid_mask):
                 if coverage.get((u, v), 0) > 0:
                     continue
-                opts = [tup for tup in enumerate_connectors(g, u, v, k,
-                                                            cap=8 * params.per_pair_cap)
+                opts = [tup for tup in enumerate_connectors(
+                            g, u, v, k, cap=8 * RESERVOIR_PER_PAIR_CAP)
                         if not (mask_of(tup) & avoid_mask)]
                 if prefer:
                     opts = [tup for tup in opts if all(w in prefer for w in tup)]
                 if not opts:
                     continue
-                stage[(u, v)] = opts[:params.per_pair_cap]
+                stage[(u, v)] = opts[:RESERVOIR_PER_PAIR_CAP]
         if not stage:
             continue
-        fam = select_disjoint_family(stage, k, params.sigma,
+        fam = select_disjoint_family(stage, k, RESERVOIR_SIGMA,
                                      derive_seed(seed, "reservoir", k),
-                                     p=params.p, max_family=room)
+                                     p=1, max_family=room)
         families[k] = fam
         chosen.update(fam.vertices)
         for pair, cnt in fam.per_pair.items():
@@ -466,42 +475,20 @@ def connect_through_reservoir(g: OrientedGraph, res: Reservoir,
     if x in res.vertices or y in res.vertices:
         raise ValueError(f"endpoints ({x}, {y}) must lie outside the reservoir")
     avail = mask_of(res.unused())
-    if prefer_reservoir:
-        hit = g.out_bits(x) & g.in_bits(y) & avail
-        if hit:
-            w = next(iter_bits(hit))
-            res.ledger.add(w)
-            return DiPath((x, w, y))
-    if g.has_arc(x, y):
-        return DiPath((x, y))
-    hit = g.out_bits(x) & g.in_bits(y) & avail
-    if hit:
-        w = next(iter_bits(hit))
-        res.ledger.add(w)
-        return DiPath((x, w, y))
-    for w1 in iter_bits(g.out_bits(x) & avail):
-        hit = g.out_bits(w1) & g.in_bits(y) & avail & ~(1 << w1)
-        if hit:
-            w2 = next(iter_bits(hit))
-            res.ledger.update((w1, w2))
-            return DiPath((x, w1, w2, y))
-    for w1 in iter_bits(g.out_bits(x) & avail):
-        for w2 in iter_bits(g.out_bits(w1) & avail & ~(1 << w1)):
-            hit = g.out_bits(w2) & g.in_bits(y) & avail & ~mask_of((w1, w2))
-            if hit:
-                w3 = next(iter_bits(hit))
-                res.ledger.update((w1, w2, w3))
-                return DiPath((x, w1, w2, w3, y))
-    raise NoConnectorAvailableError(x, y, frozenset(res.ledger))
+    inner = next(_connectors(g, x, y, 1, avail), None) if prefer_reservoir else None
+    if inner is None:
+        inner = _connector_within(g, x, y, avail)
+    if inner is None:
+        raise NoConnectorAvailableError(x, y, frozenset(res.ledger))
+    res.ledger.update(inner)
+    return DiPath((x, *inner, y))
 
 
 # -- absorbing path ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrongGadget:
-    w: int
-    z: int
+class _Splice:
+    """The splice test both gadget kinds share through their outer ends."""
 
     def serves(self, g: OrientedGraph, u: int, v: int) -> bool:
         """Whether the pair (u, v) -- or a single vertex u = v -- can be
@@ -510,14 +497,17 @@ class StrongGadget:
 
 
 @dataclass(frozen=True)
-class WeakGadget:
+class StrongGadget(_Splice):
+    w: int
+    z: int
+
+
+@dataclass(frozen=True)
+class WeakGadget(_Splice):
     w: int
     wp: int
     zp: int
     z: int
-
-    def serves(self, g: OrientedGraph, u: int, v: int) -> bool:
-        return g.has_arc(self.w, u) and g.has_arc(v, self.z)
 
 
 @dataclass(frozen=True)
@@ -575,45 +565,25 @@ class AbsorbingPath:
                 raise StitchFailureError(f"weak gadget {gad} segment collapsed")
 
 
+# Absorbing-path constants: ALPHA1 * n^2 strong absorbers make a vertex
+# strongly absorbable, ALPHA2 * n^4 weak ones weakly absorbable; at most
+# WEAK_TARGET weak gadgets are kept, from ABSORB_PER_PAIR_CAP candidates per
+# vertex, and each weak enumeration probes at most WEAK_BUDGET prefixes.
+ALPHA1 = Fraction(1, 4096)
+ALPHA2 = Fraction(1, 1 << 22)
+WEAK_TARGET = 2
+ABSORB_PER_PAIR_CAP = 12
+WEAK_BUDGET = 100_000
+
+
 @dataclass
 class AbsorbParams:
-    alpha1: Fraction = Fraction(1, 4096)
-    alpha2: Fraction = Fraction(1, 1 << 22)
     strong_target: int | None = None  # strong-family size; default scales with n
-    weak_target: int = 2
-    per_pair_cap: int = 12
-    weak_budget: int = 100_000
-    p: float = 1.0
     max_vertices: int | None = None
 
 
 def default_strong_target(n: int) -> int:
     return max(4, min(14, n // 5))
-
-
-def _connector_within(g: OrientedGraph, x: int, y: int, pool: int,
-                      max_internal: int = 3) -> tuple[int, ...] | None:
-    """Smallest internal vertex tuple joining x to y inside ``pool``
-    (a bitmask), or None.  Zero internals means the arc itself."""
-    if g.has_arc(x, y):
-        return ()
-    hit = g.out_bits(x) & g.in_bits(y) & pool
-    if hit:
-        return (next(iter_bits(hit)),)
-    if max_internal < 2:
-        return None
-    for w1 in iter_bits(g.out_bits(x) & pool):
-        hit = g.out_bits(w1) & g.in_bits(y) & pool & ~(1 << w1)
-        if hit:
-            return (w1, next(iter_bits(hit)))
-    if max_internal < 3:
-        return None
-    for w1 in iter_bits(g.out_bits(x) & pool):
-        for w2 in iter_bits(g.out_bits(w1) & pool & ~(1 << w1)):
-            hit = g.out_bits(w2) & g.in_bits(y) & pool & ~mask_of((w1, w2))
-            if hit:
-                return (w1, w2, next(iter_bits(hit)))
-    return None
 
 
 def build_absorbing_path(g: OrientedGraph, params: AbsorbParams | None = None,
@@ -629,8 +599,8 @@ def build_absorbing_path(g: OrientedGraph, params: AbsorbParams | None = None,
     """
     params = params or AbsorbParams()
     n = g.n
-    ts = max(1, int(Fraction(params.alpha1) * n * n))
-    tw = max(1, int(Fraction(params.alpha2) * n ** 4))
+    ts = max(1, int(ALPHA1 * n * n))
+    tw = max(1, int(ALPHA2 * n ** 4))
 
     strong_ok: list[int] = []
     weak_only: list[int] = []
@@ -638,21 +608,20 @@ def build_absorbing_path(g: OrientedGraph, params: AbsorbParams | None = None,
     for v in range(n):
         if count_strong_absorbers(g, v, v) >= ts:
             strong_ok.append(v)
-        elif len(enumerate_weak_absorbers(g, v, v, params.alpha1, cap=tw,
-                                          budget=params.weak_budget)) >= tw:
+        elif len(enumerate_weak_absorbers(g, v, v, ALPHA1, cap=tw,
+                                          budget=WEAK_BUDGET)) >= tw:
             weak_only.append(v)
         else:
             gaps.append(v)
 
     weak_candidates = {
-        (v, v): enumerate_weak_absorbers(g, v, v, params.alpha1,
-                                         cap=params.per_pair_cap,
-                                         budget=params.weak_budget)
+        (v, v): enumerate_weak_absorbers(g, v, v, ALPHA1, cap=ABSORB_PER_PAIR_CAP,
+                                         budget=WEAK_BUDGET)
         for v in weak_only
     }
-    f_weak = select_disjoint_family(weak_candidates, 4, params.alpha2,
+    f_weak = select_disjoint_family(weak_candidates, 4, ALPHA2,
                                     derive_seed(seed, "weak-family"),
-                                    p=params.p, max_family=params.weak_target)
+                                    p=1, max_family=WEAK_TARGET)
 
     strong_target = (params.strong_target if params.strong_target is not None
                      else default_strong_target(n))
@@ -663,13 +632,13 @@ def build_absorbing_path(g: OrientedGraph, params: AbsorbParams | None = None,
     strong_candidates: dict[Pair, list[tuple[int, ...]]] = {}
     for v in strong_ok:
         opts = [tup for tup in enumerate_strong_absorbers(
-                    g, v, v, cap=8 * params.per_pair_cap)
+                    g, v, v, cap=8 * ABSORB_PER_PAIR_CAP)
                 if taken.isdisjoint(tup)]
         pool_rng.shuffle(opts)
-        strong_candidates[(v, v)] = opts[:params.per_pair_cap]
-    f_strong = select_disjoint_family(strong_candidates, 2, params.alpha1,
+        strong_candidates[(v, v)] = opts[:ABSORB_PER_PAIR_CAP]
+    f_strong = select_disjoint_family(strong_candidates, 2, ALPHA1,
                                       derive_seed(seed, "strong-family"),
-                                      p=params.p, max_family=strong_target)
+                                      p=1, max_family=strong_target)
 
     # Stitch weak units first, then strong, chaining with free connectors.
     units: list[tuple[str, tuple[int, ...]]] = (
@@ -773,8 +742,7 @@ def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
     free_s = p_abs.free_strong()
     free_w = p_abs.free_weak()
     for v in todo:
-        if not any(p_abs.strong[i].serves(g, v, v) for i in range(len(p_abs.strong))) \
-                and not any(p_abs.weak[i].serves(g, v, v) for i in range(len(p_abs.weak))):
+        if not any(gad.serves(g, v, v) for gad in p_abs.strong + p_abs.weak):
             raise VertexNotAbsorbableError(v)
 
     edges = {v: [i for i in free_s if p_abs.strong[i].serves(g, v, v)] for v in todo}
@@ -828,7 +796,9 @@ def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
                            p_abs.used_strong | spent_strong,
                            p_abs.used_weak | spent_weak,
                            p_abs.gaps, p_abs.dropped)
-    assert result.path[0] == p_abs.path[0] and result.path[-1] == p_abs.path[-1]
-    assert set(result.path) == set(p_abs.path) | set(todo)
+    if ((result.start, result.end) != (p_abs.start, p_abs.end)
+            or set(result.path) != set(p_abs.path) | set(todo)):
+        raise InvalidPathError(f"absorbing {todo} moved a path endpoint "
+                               "or lost a vertex")
     DiPath(result.path).validate(g)
     return result

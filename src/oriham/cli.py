@@ -27,8 +27,9 @@ from .conditions import (HypothesisViolatedError, check_ghouila_houri,
                          check_nash_williams, check_ore,
                          check_semidegree_consequence, check_sparse_set_bound,
                          check_woodall)
-from .extremal import (InfeasibleParamsError, find_sharp_pair,
-                       generate_extremal, table_params, verify_partition)
+from .extremal import (InfeasibleParamsError, PartitionNotCoveringError,
+                       find_sharp_pair, generate_extremal, table_params,
+                       verify_partition)
 from .fileio import EdgeListParseError, emit_edge_list, parse_edge_list
 from .generators import random_min_semidegree, random_oriented
 from .graph import GraphError, OrientedGraph, Partition4
@@ -120,9 +121,13 @@ def _load_partition(path: str, g: OrientedGraph) -> Partition4:
         payload = payload["partition"]
     if not isinstance(payload, dict) or set(payload) != {"A", "B", "C", "D"}:
         raise UsageError(f"{path}: expected an object with keys A, B, C, D")
+    classes = [payload[label] for label in "ABCD"]
+    if not all(isinstance(xs, list) and all(isinstance(v, int) for v in xs)
+               for xs in classes):
+        raise UsageError(f"{path}: each class must be a list of vertex ids")
     try:
-        return Partition4.of(payload["A"], payload["B"], payload["C"], payload["D"])
-    except (GraphError, ValueError, TypeError) as exc:
+        return Partition4.of(*classes)
+    except ValueError as exc:
         raise UsageError(f"{path}: bad partition ({exc})")
 
 
@@ -188,7 +193,7 @@ def cmd_score_partition(args) -> int:
     part = _load_partition(args.partition, g)
     try:
         report = verify_partition(g, part, args.eta, args.ceta)
-    except Exception as exc:
+    except PartitionNotCoveringError as exc:
         raise UsageError(str(exc))
     _emit({"schema": SCHEMA, "report": report.to_json_dict()}, args.out)
     return EXIT_OK if report.verdict else EXIT_NEGATIVE

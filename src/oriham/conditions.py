@@ -45,32 +45,21 @@ def ore_threshold(n: int) -> Fraction:
 
 
 def non_arc_pairs(g: OrientedGraph):
-    """Ordered pairs (x, y), x != y, with no arc from x to y."""
-    full = g.full_mask()
+    """Ordered pairs (x, y), x != y, with no arc from x to y; x ascending,
+    then y ascending."""
     for x in range(g.n):
-        absent = full & ~g.out_bits(x) & ~(1 << x)
-        for y in iter_bits(absent):
+        for y in iter_bits(g.non_out_bits(x)):
             yield x, y
 
 
 def _min_pair_sum(g: OrientedGraph) -> tuple[Fraction, tuple[int, int]] | None:
-    best = None
-    witness = None
-    for x in range(g.n):
-        dx = g.out_degree(x)
-        for _, y in non_arc_pairs_from(g, x):
-            s = dx + g.in_degree(y)
-            if best is None or s < best:
-                best, witness = s, (x, y)
-    if best is None:
-        return None
-    return Fraction(best), witness
-
-
-def non_arc_pairs_from(g: OrientedGraph, x: int):
-    absent = g.full_mask() & ~g.out_bits(x) & ~(1 << x)
-    for y in iter_bits(absent):
-        yield x, y
+    """Smallest deg+(x) + deg-(y) over the non-arc pairs, with the first
+    pair in ``non_arc_pairs`` order that attains it as the witness."""
+    out_deg = [g.out_degree(v) for v in range(g.n)]
+    in_deg = [g.in_degree(v) for v in range(g.n)]
+    found = min(((out_deg[x] + in_deg[y], x, y) for x, y in non_arc_pairs(g)),
+                default=None)
+    return None if found is None else (Fraction(found[0]), found[1:])
 
 
 def check_ore(g: OrientedGraph) -> ConditionReport:

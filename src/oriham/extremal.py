@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import OrientedGraph, Partition4, iter_bits, mask_of
+from .conditions import non_arc_pairs
+from .graph import OrientedGraph, Partition4, mask_of
 from .seeds import derive_seed, rng_for
 
 
@@ -80,7 +81,6 @@ def table_params(n: int, a: int, *, ac_extra: int = 0, d_extra: int = 0,
         raise InfeasibleParamsError(f"ceil(a/2) exceeds |D| for (n, a) = ({n}, {a})")
     if ac_extra < 0 or d_extra < 0:
         raise InfeasibleParamsError("extra-arc counts must be nonnegative")
-    assert a + size_b + size_c + size_d == n
     return ExtremalParams(n, a, size_b, size_c, size_d, sharp_bound(n),
                           ac_extra, d_extra, seed)
 
@@ -197,14 +197,8 @@ def generate_extremal(params: ExtremalParams) -> tuple[OrientedGraph, Partition4
 def find_sharp_pair(g: OrientedGraph, bound: int) -> tuple[int, int] | None:
     """First ordered non-adjacent pair (x, y) with deg+(x) + deg-(y) equal
     to ``bound`` exactly, or None."""
-    full = g.full_mask()
-    for x in range(g.n):
-        dx = g.out_degree(x)
-        absent = full & ~g.out_bits(x) & ~(1 << x)
-        for y in iter_bits(absent):
-            if dx + g.in_degree(y) == bound:
-                return (x, y)
-    return None
+    return next(((x, y) for x, y in non_arc_pairs(g)
+                 if g.out_degree(x) + g.in_degree(y) == bound), None)
 
 
 # -- structure scoring ---------------------------------------------------------

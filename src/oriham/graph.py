@@ -117,6 +117,12 @@ class OrientedGraph:
     def in_bits(self, v: int) -> int:
         return self._in[self.check_vertex(v)]
 
+    def non_out_bits(self, x: int) -> int:
+        """Bit set of the vertices y != x with no arc x->y: the partners
+        of ``x`` in the non-arc pairs (x, y) that the degree conditions
+        and the connector searches range over."""
+        return self.full_mask() & ~self.out_bits(x) & ~(1 << x)
+
     def out_neighbors(self, v: int) -> Iterator[int]:
         return iter_bits(self.out_bits(v))
 

@@ -10,18 +10,17 @@ or "not found" (with the first failing stage), never "none exists".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .absorption import (AbsorbingPath, AbsorbParams, CapacityExhaustedError,
+from .absorption import (AbsorbingPath, CapacityExhaustedError,
                          NoConnectorAvailableError, Reservoir, ReservoirParams,
                          StitchFailureError, VertexNotAbsorbableError,
                          absorb_vertices, build_absorbing_path, build_reservoir,
-                         connect_through_reservoir, default_reservoir_size,
-                         default_strong_target)
+                         connect_through_reservoir)
 from .graph import (DiCycle, DiPath, OrientedGraph, iter_bits, mask_of,
                     verify_hamilton_cycle)
 from .seeds import derive_seed, rng_for
@@ -32,7 +31,8 @@ class TooLargeError(ValueError):
 
 
 class CertificateError(RuntimeError):
-    """An exact solver built a cycle that fails verification (a solver bug)."""
+    """A solver assembled a cycle that fails verification or breaks the
+    invariant its assembly relies on (a solver bug)."""
 
 
 @dataclass(frozen=True)
@@ -230,12 +230,8 @@ def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
             paths.append(path)
         return paths
 
-    best: list[list[int]] | None = None
-    for r in range(max(1, restarts)):
-        paths = attempt(rng_for(seed, "cover", r))
-        if best is None or len(paths) < len(best):
-            best = paths
-    assert best is not None
+    best = min((attempt(rng_for(seed, "cover", r)) for r in range(max(1, restarts))),
+               key=len)
 
     truncated = len(best) > max_paths
     if truncated:
@@ -255,22 +251,19 @@ def _pick_bit(mask: int, rng) -> int:
 # -- absorption pipeline ---------------------------------------------------------------
 
 
+# Pipeline constants: the cover keeps at most MAX_PATHS paths and its first
+# build takes the best of COVER_RESTARTS seeded attempts; stitching is tried
+# STITCH_ATTEMPTS times; at most LEFTOVER_RATIO * |absorbing path| leftovers
+# are handed to the absorb stage.
+MAX_PATHS = 12
+COVER_RESTARTS = 8
+STITCH_ATTEMPTS = 12
+LEFTOVER_RATIO = Fraction(1, 4)
+
+
 @dataclass
 class PipelineParams:
-    absorb: AbsorbParams = field(default_factory=AbsorbParams)
-    reservoir: ReservoirParams = field(default_factory=ReservoirParams)
-    max_paths: int = 12
-    cover_restarts: int = 8
-    stitch_attempts: int = 12
-    leftover_ratio: Fraction = Fraction(1, 4)
     max_n: int = 512
-
-    @classmethod
-    def tuned(cls, n: int) -> "PipelineParams":
-        return cls(
-            absorb=AbsorbParams(strong_target=default_strong_target(n), p=1.0),
-            reservoir=ReservoirParams(target_size=default_reservoir_size(n), p=1.0),
-        )
 
 
 def find_hamilton_absorption(g: OrientedGraph,
@@ -284,7 +277,7 @@ def find_hamilton_absorption(g: OrientedGraph,
     absorbing path, then verify.  A failure reports the first failing
     stage in the trace; the verdict is never "none_exists".
     """
-    params = params or PipelineParams.tuned(g.n)
+    params = params or PipelineParams()
     if g.n > params.max_n:
         raise TooLargeError(f"n = {g.n} exceeds pipeline cap {params.max_n}")
     trace: list[StageRecord] = []
@@ -298,7 +291,7 @@ def find_hamilton_absorption(g: OrientedGraph,
 
     # absorbing path
     try:
-        p_abs = build_absorbing_path(g, params.absorb, derive_seed(seed, "absorb"))
+        p_abs = build_absorbing_path(g, seed=derive_seed(seed, "absorb"))
         note = {}
     except StitchFailureError as exc:
         p_abs = AbsorbingPath(())
@@ -317,8 +310,7 @@ def find_hamilton_absorption(g: OrientedGraph,
         v for v in range(g.n)
         if v not in p_abs.vertex_set()
         and any(p_abs.strong[i].serves(g, v, v) for i in p_abs.free_strong()))
-    res_params = replace(params.reservoir, prefer=servable)
-    res = build_reservoir(g, p_abs.vertex_set(), res_params,
+    res = build_reservoir(g, p_abs.vertex_set(), ReservoirParams(prefer=servable),
                           derive_seed(seed, "reservoir"))
     trace.append(StageRecord("reservoir", True, {
         "vertices": len(res.vertices),
@@ -329,13 +321,12 @@ def find_hamilton_absorption(g: OrientedGraph,
     # the cover (fresh path endpoints) and odd attempts drain leftover
     # reservoir vertices into junction links to shrink the absorb load
     excluded = p_abs.vertex_set() | res.vertices
-    cover = greedy_path_cover(g, excluded, params.max_paths,
-                              derive_seed(seed, "cover", 0),
-                              params.cover_restarts)
+    cover = greedy_path_cover(g, excluded, MAX_PATHS,
+                              derive_seed(seed, "cover", 0), COVER_RESTARTS)
     best = None
-    for attempt in range(max(1, params.stitch_attempts)):
+    for attempt in range(STITCH_ATTEMPTS):
         if attempt:
-            cover = greedy_path_cover(g, excluded, params.max_paths,
+            cover = greedy_path_cover(g, excluded, MAX_PATHS,
                                       derive_seed(seed, "cover", attempt), 1)
         rng = None if attempt == 0 else rng_for(seed, "stitch", attempt)
         stitched = _attempt_stitch(g, p_abs, cover.paths, res, rng,
@@ -355,7 +346,7 @@ def find_hamilton_absorption(g: OrientedGraph,
             "truncated": cover.truncated,
         }))
         return fail("stitch", {
-            "attempts": params.stitch_attempts,
+            "attempts": STITCH_ATTEMPTS,
             "units": len(cover.paths) + (1 if p_abs.path else 0),
         })
     leftovers, cycle_seq, used_reservoir, cover = best
@@ -369,7 +360,7 @@ def find_hamilton_absorption(g: OrientedGraph,
     }))
 
     # absorb unused reservoir and uncovered vertices
-    limit = max(1, int(params.leftover_ratio * len(p_abs.path)))
+    limit = max(1, int(LEFTOVER_RATIO * len(p_abs.path)))
     if len(leftovers) > limit:
         return fail("absorb", {"leftovers": len(leftovers), "limit": limit})
     if leftovers:
@@ -377,7 +368,9 @@ def find_hamilton_absorption(g: OrientedGraph,
             grown = absorb_vertices(g, p_abs, leftovers)
         except (CapacityExhaustedError, VertexNotAbsorbableError) as exc:
             return fail("absorb", {"leftovers": len(leftovers), "reason": str(exc)})
-        assert tuple(cycle_seq[:len(p_abs.path)]) == p_abs.path
+        if tuple(cycle_seq[:len(p_abs.path)]) != p_abs.path:
+            raise CertificateError("stitched sequence does not start with "
+                                   "the absorbing path")
         cycle_seq = list(grown.path) + cycle_seq[len(p_abs.path):]
         trace.append(StageRecord("absorb", True, {"absorbed": len(leftovers)}))
     else:
@@ -426,5 +419,6 @@ def _attempt_stitch(g: OrientedGraph, p_abs: AbsorbingPath,
             seq.extend(link.vertices[1:-1])
     except NoConnectorAvailableError:
         return None
-    assert len(seq) == len(set(seq))
+    if len(seq) != len(set(seq)):
+        raise CertificateError(f"stitched sequence {seq} repeats a vertex")
     return seq, frozenset(scratch.ledger)

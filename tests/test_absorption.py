@@ -38,8 +38,10 @@ from oriham import (
     select_disjoint_family,
     table_params,
 )
+from oriham import absorption
 from oriham.absorption import Reservoir
-from oriham.seeds import rng_for
+from oriham.graph import mask_of
+from oriham.seeds import derive_seed, rng_for
 
 import _oracles
 
@@ -98,6 +100,27 @@ def test_connectors_match_oracle(seed):
         for tup in got:
             seq = (u,) + tup + (v,)
             assert all(g.has_arc(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
+
+
+def test_profile_matches_oracle():
+    for i in range(12):
+        n = 6 + i % 3
+        g = random_oriented(n, (0.25, 0.4)[i % 2], derive_seed(0, "profile", i))
+        best, dead = {}, []
+        for u in range(n):
+            for v in range(n):
+                if u == v or g.has_arc(u, v):
+                    continue
+                for k in (1, 2, 3):
+                    found = _oracles.connectors_oracle(g, u, v, k)
+                    if found:
+                        best[(u, v)] = (k, len(found))
+                        break
+                else:
+                    dead.append((u, v))
+        prof = connectivity_profile(g)
+        assert prof.best == best
+        assert prof.unconnectable == tuple(dead)
 
 
 def test_profile_cycle3():
@@ -381,6 +404,45 @@ def test_connect_rejects_reservoir_endpoints():
         connect_through_reservoir(LEDGER5, res, 2, 1)
 
 
+def _first_connector(g, x, y, pool, sizes):
+    """Shortest connector inside ``pool``, lexicographically first."""
+    for k in sizes:
+        inside = [tup for tup in _oracles.connectors_oracle(g, x, y, k)
+                  if pool.issuperset(tup)]
+        if inside:
+            return inside[0]
+    return None
+
+
+def test_connector_choice_rule():
+    # the arc wins, else the shortest connector through the pool, and among
+    # those the lexicographically first; draining tries a 1-connector first
+    sizes_seen, drained = set(), 0
+    for i in range(120):
+        rng = rng_for(i, "choice")
+        n = 6 + i % 4
+        g = random_oriented(n, (0.45, 0.6, 0.75)[i % 3], derive_seed(0, "choice", i))
+        x, y = rng.sample(range(n), 2)
+        others = [v for v in range(n) if v not in (x, y)]
+        pool = frozenset(rng.sample(others, rng.randint(len(others) // 2, len(others))))
+        want = () if g.has_arc(x, y) else _first_connector(g, x, y, pool, (1, 2, 3))
+        sizes_seen.add(None if want is None else len(want))
+        assert absorption._connector_within(g, x, y, mask_of(pool)) == want
+        for drain in (False, True):
+            pick = (_first_connector(g, x, y, pool, (1,)) if drain else None) or want
+            drained += drain and pick != want
+            res = Reservoir(pool, {}, {})
+            if pick is None:
+                with pytest.raises(NoConnectorAvailableError):
+                    connect_through_reservoir(g, res, x, y, prefer_reservoir=drain)
+                continue
+            path = connect_through_reservoir(g, res, x, y, prefer_reservoir=drain)
+            assert path.vertices == (x, *pick, y)
+            assert res.ledger == set(pick)
+    assert sizes_seen == {0, 1, 2, 3, None}
+    assert drained
+
+
 def test_reservoir_serves_sampled_pairs():
     # dense instance: a small reservoir bridges sampled non-adjacent pairs
     # even after one vertex has already been consumed
@@ -416,10 +478,12 @@ def test_gadget_serves():
     assert StrongGadget(1, 2).serves(g, 0, 0)
     assert not StrongGadget(1, 2).serves(g, 3, 3)
     assert StrongGadget(1, 2).serves(g, 3, 0)
+    assert WeakGadget(1, 0, 3, 2).serves(g, 3, 0)
+    assert not WeakGadget(1, 0, 3, 2).serves(g, 3, 3)
 
 
 def test_build_minimal_path():
-    P = build_absorbing_path(STRONG3, AbsorbParams(strong_target=4, p=1.0))
+    P = build_absorbing_path(STRONG3, AbsorbParams(strong_target=4))
     assert P.path == (1, 2)
     assert P.strong == (StrongGadget(1, 2),)
     assert P.weak == ()
@@ -429,7 +493,7 @@ def test_build_minimal_path():
 
 
 def test_build_no_gadgets_no_path():
-    P = build_absorbing_path(C3, AbsorbParams(strong_target=4, p=1.0))
+    P = build_absorbing_path(C3, AbsorbParams(strong_target=4))
     assert P.path == ()
     assert P.strong == ()
     assert P.gaps == (0, 1, 2)
@@ -438,7 +502,7 @@ def test_build_no_gadgets_no_path():
 
 def test_build_dense_instance():
     g = random_min_semidegree(60, 23, 11)
-    P = build_absorbing_path(g, AbsorbParams(strong_target=16, p=1.0), seed=11)
+    P = build_absorbing_path(g, AbsorbParams(strong_target=16), seed=11)
     P.validate(g)
     assert len(P.path) == 42
     assert len(P.strong) == 15
@@ -457,7 +521,7 @@ def test_build_dense_instance():
 def test_build_respects_vertex_cap():
     g = random_min_semidegree(60, 23, 11)
     P = build_absorbing_path(
-        g, AbsorbParams(strong_target=16, p=1.0, max_vertices=30), seed=11)
+        g, AbsorbParams(strong_target=16, max_vertices=30), seed=11)
     assert len(P.path) == 30
     assert P.dropped == 4
     assert P.capacity() == 11
@@ -477,12 +541,12 @@ def test_validate_catches_broken_registry():
 
 
 def test_absorb_nothing_is_identity():
-    P = build_absorbing_path(STRONG3, AbsorbParams(strong_target=4, p=1.0))
+    P = build_absorbing_path(STRONG3, AbsorbParams(strong_target=4))
     assert absorb_vertices(STRONG3, P, []) is P
 
 
 def test_absorb_single_vertex():
-    P = build_absorbing_path(STRONG3, AbsorbParams(strong_target=4, p=1.0))
+    P = build_absorbing_path(STRONG3, AbsorbParams(strong_target=4))
     P2 = absorb_vertices(STRONG3, P, [0])
     assert P2.path == (1, 0, 2)
     assert P2.used_strong == frozenset({0})
@@ -506,7 +570,7 @@ def test_absorb_double_step():
 
 def test_absorb_capacity_exhausted():
     g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2), (1, 3), (3, 2)])
-    P = build_absorbing_path(g, AbsorbParams(strong_target=4, p=1.0))
+    P = build_absorbing_path(g, AbsorbParams(strong_target=4))
     assert P.capacity() == 1
     with pytest.raises(CapacityExhaustedError) as ei:
         absorb_vertices(g, P, [0, 3])
@@ -515,7 +579,7 @@ def test_absorb_capacity_exhausted():
 
 def test_absorb_unservable_vertex():
     g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2)])
-    P = build_absorbing_path(g, AbsorbParams(strong_target=4, p=1.0))
+    P = build_absorbing_path(g, AbsorbParams(strong_target=4))
     with pytest.raises(VertexNotAbsorbableError) as ei:
         absorb_vertices(g, P, [3])
     assert ei.value.vertex == 3
@@ -523,6 +587,6 @@ def test_absorb_unservable_vertex():
 
 def test_absorb_rejects_path_vertices():
     g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2)])
-    P = build_absorbing_path(g, AbsorbParams(strong_target=4, p=1.0))
+    P = build_absorbing_path(g, AbsorbParams(strong_target=4))
     with pytest.raises(ValueError):
         absorb_vertices(g, P, [1])

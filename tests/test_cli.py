@@ -4,6 +4,7 @@ import json
 import pytest
 
 from oriham import OrientedGraph, emit_edge_list, generate_extremal, parse_edge_list, table_params
+from oriham import cli
 from oriham.cli import main
 
 TS = "2026-08-18T00:00:00+00:00"
@@ -154,6 +155,31 @@ def test_score_partition_bad_file(tmp_path, capsys):
     rc, _, err = run(capsys, ["score-partition", "--input", path,
                               "--partition", str(pfile), "--eta", "1/20"])
     assert rc == 2
+
+
+def test_score_partition_bad_classes(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(4))
+    for classes, message in (({"A": [0.0], "B": [1], "C": [2], "D": [3]}, "vertex ids"),
+                             ({"A": [0], "B": [1], "C": [2], "D": []}, "cover")):
+        pfile = tmp_path / "classes.json"
+        pfile.write_text(json.dumps(classes))
+        rc, _, err = run(capsys, ["score-partition", "--input", path,
+                                  "--partition", str(pfile), "--eta", "1/20"])
+        assert rc == 2
+        assert message in err
+
+
+def test_score_partition_bug_is_not_usage_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "x.edges"
+    run(capsys, ["generate", "--n", "12", "--a", "0", "--out", str(out)])
+
+    def broken(*args):
+        raise RuntimeError("scorer bug")
+
+    monkeypatch.setattr(cli, "verify_partition", broken)
+    with pytest.raises(RuntimeError, match="scorer bug"):
+        main(["score-partition", "--input", str(out),
+              "--partition", str(out) + ".json", "--eta", "1/20"])
 
 
 def test_absorbers_strong(tmp_path, capsys):

@@ -234,9 +234,10 @@ def build(n, pairs):
 def test_ore_margin_matches_oracle(pairs):
     g = build(7, pairs)
     rep = check_ore(g)
-    best, _ = _oracles.ore_min_pair(g)
+    best, witness = _oracles.ore_min_pair(g)
     assert rep.margin == Fraction(best) - ore_threshold(7)
     assert rep.satisfied == (rep.margin >= 0)
+    assert rep.witness == witness
     wx, wy = rep.witness
     assert not g.has_arc(wx, wy)
     assert g.out_degree(wx) + g.in_degree(wy) == best

@@ -18,11 +18,13 @@ from oriham import (
     generate_extremal,
     minimal_eta,
     near_regular_tournament,
+    random_oriented,
     random_tournament,
     sharp_bound,
     table_params,
     verify_partition,
 )
+from oriham.seeds import derive_seed
 
 
 def test_sharp_bound_values():
@@ -218,6 +220,17 @@ def test_sharp_pair_n13():
     x, y = pair
     assert g.out_degree(x) + g.in_degree(y) == 8
     assert not g.has_arc(x, y)
+
+
+def test_sharp_pair_is_first_match():
+    graphs = [random_oriented(8, 0.6, derive_seed(0, "sharp", i)) for i in range(6)]
+    graphs += [generate_extremal(table_params(n, a))[0] for n, a in ((12, 0), (13, 2))]
+    for g in graphs:
+        for bound in range(2 * g.n):
+            first = next(((x, y) for x in range(g.n) for y in range(g.n)
+                          if x != y and not g.has_arc(x, y)
+                          and g.out_degree(x) + g.in_degree(y) == bound), None)
+            assert find_sharp_pair(g, bound) == first
 
 
 def test_sharp_pair_absent_when_bound_too_low():

@@ -17,8 +17,6 @@ from oriham import (
     StageRecord,
     TooLargeError,
     TwoCycleError,
-    default_reservoir_size,
-    default_strong_target,
     exact_brute,
     exact_dp,
     find_hamilton_absorption,
@@ -151,6 +149,55 @@ def test_certificate_checks_survive_optimize():
         "dp walk-back raised", "dp verify raised", "brute verify raised"]
 
 
+OPTIMIZED_PIPELINE_RUN = """
+import sys
+from oriham import (AbsorbingPath, CertificateError, CoverResult, DiPath,
+                    InvalidPathError, OrientedGraph, StrongGadget,
+                    absorb_vertices, hamilton)
+from oriham.absorption import Reservoir
+
+def check(name, run, error):
+    try:
+        run()
+    except error:
+        print(name, "raised")
+    else:
+        print(name, "returned")
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+c3 = OrientedGraph(3, [(0, 1), (1, 2), (2, 0)])
+c4 = OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+# the gadget's w is the path's last vertex, so the splice moves the end
+check("absorb endpoints", lambda: absorb_vertices(
+    c3, AbsorbingPath((0, 1), strong=(StrongGadget(1, 0),)), [2]), InvalidPathError)
+# the link 1 -> 2 runs through 3, which the next unit visits again
+hamilton.connect_through_reservoir = lambda g, res, x, y, prefer_reservoir=False: (
+    DiPath((x, 3, y) if x == 1 else (x, y)))
+check("stitch repeat", lambda: hamilton._attempt_stitch(
+    c4, AbsorbingPath((0, 1)), [DiPath((2, 3))], Reservoir(frozenset(), {}, {}), None),
+    CertificateError)
+# a stitched sequence that does not open with the absorbing path
+hamilton.build_absorbing_path = lambda *args, **kwargs: AbsorbingPath((0, 1))
+hamilton.build_reservoir = lambda *args: Reservoir(frozenset(), {}, {})
+hamilton.greedy_path_cover = lambda *args: CoverResult(
+    (DiPath((2,)),), frozenset({3}), 2, False)
+hamilton._attempt_stitch = lambda *args, **kwargs: ([1, 0, 2], frozenset())
+hamilton.absorb_vertices = lambda g, p_abs, leftovers: p_abs
+check("stitch prefix", lambda: hamilton.find_hamilton_absorption(c4), CertificateError)
+"""
+
+
+def test_pipeline_checks_survive_optimize():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(hamilton.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_PIPELINE_RUN],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:3] == [
+        "absorb endpoints raised", "stitch repeat raised", "stitch prefix raised"]
+
+
 arc_lists = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30
 )
@@ -245,15 +292,11 @@ def test_cover_dense_benchmark():
 
 
 def test_pipeline_defaults():
-    pp = PipelineParams()
-    assert pp.max_paths == 12
-    assert pp.cover_restarts == 8
-    assert pp.stitch_attempts == 12
-    assert pp.leftover_ratio == Fraction(1, 4)
-    assert pp.max_n == 512
-    tuned = PipelineParams.tuned(60)
-    assert tuned.absorb.strong_target == default_strong_target(60)
-    assert tuned.reservoir.target_size == default_reservoir_size(60)
+    assert hamilton.MAX_PATHS == 12
+    assert hamilton.COVER_RESTARTS == 8
+    assert hamilton.STITCH_ATTEMPTS == 12
+    assert hamilton.LEFTOVER_RATIO == Fraction(1, 4)
+    assert PipelineParams().max_n == 512
 
 
 def test_pipeline_finds_plain_cycle():
