@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import DiPath, InvalidPathError, OrientedGraph, iter_bits, mask_of
 from .seeds import derive_seed
@@ -78,19 +78,26 @@ def _connectors(g: OrientedGraph, x: int, y: int, k: int, pool: int):
                     yield (w1, w2, w3)
 
 
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+
+
 def enumerate_connectors(g: OrientedGraph, u: int, v: int, k: int,
                          cap: int | None = None) -> list[tuple[int, ...]]:
     """All k-connectors of (u, v) in ascending lexicographic order.
 
     Connector vertices are distinct and avoid u and v.  ``cap`` truncates
-    the enumeration after that many tuples (a cap below 1 keeps the first).
+    the enumeration after that many tuples; a cap below 1 raises
+    ValueError.
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
+    _check_cap(cap)
     g.check_vertex(u)
     g.check_vertex(v)
     found = _connectors(g, u, v, k, g.full_mask() & ~mask_of((u, v)))
-    return list(islice(found, None if cap is None else max(cap, 1)))
+    return list(islice(found, cap))
 
 
 def _connector_within(g: OrientedGraph, x: int, y: int,
@@ -153,6 +160,7 @@ def enumerate_strong_absorbers(g: OrientedGraph, u: int, v: int,
                                cap: int | None = None) -> list[Pair]:
     """Ordered pairs (w, z) with arcs w->z, w->u, v->z, both outside
     {u, v}, ascending lexicographic.  u = v is the single-vertex case."""
+    _check_cap(cap)
     g.check_vertex(u)
     g.check_vertex(v)
     ex = ~mask_of((u, v))
@@ -195,6 +203,7 @@ def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
     ascending lexicographic; inner-pair verdicts are memoized; ``budget``
     bounds the probed prefixes so dense instances terminate early.
     """
+    _check_cap(cap)
     g.check_vertex(u)
     g.check_vertex(v)
     ex = ~mask_of((u, v))
@@ -292,6 +301,36 @@ class AbsorberFamily:
         return len(self.members)
 
 
+def _disjoint_sweep(lists: Iterable[Sequence[tuple[int, ...]]], limit: int | None,
+                    sample: Callable[[], bool] | None = None) -> list[tuple[int, ...]]:
+    """The family selection rule: walk the candidate lists round-robin by
+    rank, skip repeated tuples, and keep each tuple that ``sample()`` (if
+    given) accepts and that is disjoint from all kept before, until
+    ``limit`` are kept.  Rank 0 reads ``lists`` lazily, one list as the
+    walk reaches it, so an early stop leaves later lists unbuilt."""
+    kept: list[tuple[int, ...]] = []
+    used: set[int] = set()
+    seen: set[tuple[int, ...]] = set()
+
+    def by_rank():
+        read = []
+        for tuples in lists:
+            read.append(tuples)
+            yield from tuples[:1]
+        for rank in range(1, max(map(len, read), default=0)):
+            yield from (tuples[rank] for tuples in read if rank < len(tuples))
+
+    for tup in map(tuple, by_rank() if limit is None or limit > 0 else ()):
+        if tup not in seen:
+            seen.add(tup)
+            if (sample is None or sample()) and used.isdisjoint(tup):
+                kept.append(tup)
+                used.update(tup)
+                if len(kept) == limit:
+                    break
+    return kept
+
+
 def select_disjoint_family(candidates: dict[Pair, Sequence[tuple[int, ...]]],
                            t: int, sigma: Fraction, seed: int = 0, *,
                            p: float | Fraction | None = None,
@@ -328,41 +367,15 @@ def select_disjoint_family(candidates: dict[Pair, Sequence[tuple[int, ...]]],
     if floor is None:
         floor = max(1, int(Fraction(sigma) ** 2 / 1024 * universe))
 
-    ordered: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    pair_order = sorted(candidates)
-    rank = 0
-    while True:
-        any_left = False
-        for pair in pair_order:
-            tuples = candidates[pair]
-            if rank < len(tuples):
-                any_left = True
-                tup = tuple(tuples[rank])
-                if tup not in seen:
-                    seen.add(tup)
-                    ordered.append(tup)
-        if not any_left:
-            break
-        rank += 1
-
     rng = random.Random(derive_seed(seed, "family", t))
-    sampled = [tup for tup in ordered if p >= 1.0 or rng.random() < p]
-
-    kept: list[tuple[int, ...]] = []
-    used: set[int] = set()
-    for tup in sampled:
-        if max_family is not None and len(kept) >= max_family:
-            break
-        if used.isdisjoint(tup):
-            kept.append(tup)
-            used.update(tup)
+    kept = _disjoint_sweep((candidates[pair] for pair in sorted(candidates)),
+                           max_family, None if p >= 1.0 else lambda: rng.random() < p)
 
     member_set = set(kept)
     per_pair = {pair: sum(1 for tup in set(map(tuple, tuples)) if tup in member_set)
                 for pair, tuples in candidates.items()}
     below = tuple(sorted(pair for pair, c in per_pair.items() if c < floor))
-    return AbsorberFamily(t, tuple(sorted(kept)), frozenset(used),
+    return AbsorberFamily(t, tuple(sorted(kept)), frozenset().union(*kept),
                           per_pair, floor, below, p)
 
 
@@ -370,10 +383,8 @@ def select_disjoint_family(candidates: dict[Pair, Sequence[tuple[int, ...]]],
 
 
 # connectors kept per pair for the reservoir's family selection (eight
-# times as many are enumerated before the avoid/prefer filters), and the
-# sigma that sets the selection's reporting floor
+# times as many are enumerated before the avoid/prefer filters)
 RESERVOIR_PER_PAIR_CAP = 8
-RESERVOIR_SIGMA = Fraction(1, 64)
 
 
 @dataclass
@@ -388,14 +399,11 @@ class ReservoirParams:
 class Reservoir:
     """Connector pool with single-use bookkeeping.
 
-    ``families`` records the k-connector families chosen per stage;
-    queries search all unused reservoir vertices, so any reservoir vertex
+    Queries search all unused reservoir vertices, so any reservoir vertex
     can serve any later pair.  ``ledger`` holds consumed vertices.
     """
 
     vertices: frozenset[int]
-    families: dict[int, AbsorberFamily]
-    coverage: dict[Pair, int]
     ledger: set[int] = field(default_factory=set)
 
     def unused(self) -> frozenset[int]:
@@ -412,52 +420,47 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int],
     """Choose a small vertex set R, staged over k = 1, 2, 3, so that
     ordered non-adjacent pairs outside R can be joined through it.
 
-    Stage k considers pairs not already covered at smaller k and selects a
-    disjoint family of k-connectors avoiding the exclusion set and all
-    earlier stages.  A nonempty params.prefer restricts connector vertices
-    to that set.
+    Stage k walks the non-arc pairs (u, v) outside ``avoid`` and earlier
+    stages, ascending, that no earlier stage covers.  A pair's candidates
+    are the first RESERVOIR_PER_PAIR_CAP of its first eight times as many
+    k-connectors that avoid those vertices (and lie in a nonempty
+    params.prefer); ``_disjoint_sweep`` keeps (budget - |R|) // k of them.
+    The walk enumerates a pair's connectors only when it reaches the pair
+    and stops once that room is full, within the first few pairs of a
+    dense graph; a stage that leaves room for the next was walked in full.
+    No random numbers are drawn, so ``seed`` has no effect.
     """
     params = params or ReservoirParams()
-    excluded = set(avoid)
     budget = (params.target_size if params.target_size is not None
               else default_reservoir_size(g.n))
-    prefer = params.prefer or frozenset()
-
-    families: dict[int, AbsorberFamily] = {}
-    coverage: dict[Pair, int] = {}
+    outside = g.full_mask() & ~mask_of(params.prefer) if params.prefer else 0
+    avoid_mask = mask_of(avoid)
     chosen: set[int] = set()
+    covered: set[Pair] = set()
 
     for k in (1, 2, 3):
         room = (budget - len(chosen)) // k
         if room <= 0:
             break
-        avoid_mask = mask_of(excluded | chosen)
-        stage: dict[Pair, list[tuple[int, ...]]] = {}
-        for u in range(g.n):
-            if u in excluded or u in chosen:
-                continue
-            for v in iter_bits(g.non_out_bits(u) & ~avoid_mask):
-                if coverage.get((u, v), 0) > 0:
-                    continue
-                opts = [tup for tup in enumerate_connectors(
-                            g, u, v, k, cap=8 * RESERVOIR_PER_PAIR_CAP)
-                        if not (mask_of(tup) & avoid_mask)]
-                if prefer:
-                    opts = [tup for tup in opts if all(w in prefer for w in tup)]
-                if not opts:
-                    continue
-                stage[(u, v)] = opts[:RESERVOIR_PER_PAIR_CAP]
-        if not stage:
-            continue
-        fam = select_disjoint_family(stage, k, RESERVOIR_SIGMA,
-                                     derive_seed(seed, "reservoir", k),
-                                     p=1, max_family=room)
-        families[k] = fam
-        chosen.update(fam.vertices)
-        for pair, cnt in fam.per_pair.items():
-            coverage[pair] = coverage.get(pair, 0) + cnt
+        avoid_mask |= mask_of(chosen)
+        walked: dict[Pair, list[tuple[int, ...]]] = {}
 
-    return Reservoir(frozenset(chosen), families, coverage)
+        def candidate_lists():
+            for u in iter_bits(g.full_mask() & ~avoid_mask):
+                for v in iter_bits(g.non_out_bits(u) & ~avoid_mask):
+                    if (u, v) not in covered:
+                        opts = [tup for tup in enumerate_connectors(
+                                    g, u, v, k, cap=8 * RESERVOIR_PER_PAIR_CAP)
+                                if not mask_of(tup) & (avoid_mask | outside)]
+                        walked[(u, v)] = opts[:RESERVOIR_PER_PAIR_CAP]
+                        yield walked[(u, v)]
+
+        kept = set(_disjoint_sweep(candidate_lists(), room))
+        chosen.update(w for tup in kept for w in tup)
+        covered.update(pair for pair, opts in walked.items()
+                       if not kept.isdisjoint(opts))
+
+    return Reservoir(frozenset(chosen))
 
 
 def connect_through_reservoir(g: OrientedGraph, res: Reservoir,

@@ -339,22 +339,18 @@ def find_hamilton_absorption(g: OrientedGraph,
             best = (left, seq, used, cover)
         if not left:
             break
-    if best is None:
-        trace.append(StageRecord("cover", True, {
-            "paths": len(cover.paths),
-            "uncovered": len(cover.uncovered),
-            "truncated": cover.truncated,
-        }))
-        return fail("stitch", {
-            "attempts": STITCH_ATTEMPTS,
-            "units": len(cover.paths) + (1 if p_abs.path else 0),
-        })
-    leftovers, cycle_seq, used_reservoir, cover = best
+    if best is not None:
+        leftovers, cycle_seq, used_reservoir, cover = best
     trace.append(StageRecord("cover", True, {
         "paths": len(cover.paths),
         "uncovered": len(cover.uncovered),
         "truncated": cover.truncated,
     }))
+    if best is None:
+        return fail("stitch", {
+            "attempts": STITCH_ATTEMPTS,
+            "units": len(cover.paths) + (1 if p_abs.path else 0),
+        })
     trace.append(StageRecord("stitch", True, {
         "reservoir_used": len(used_reservoir),
     }))
@@ -406,7 +402,7 @@ def _attempt_stitch(g: OrientedGraph, p_abs: AbsorbingPath,
         pool.remove(choice)
         units.append(choice)
 
-    scratch = Reservoir(res.vertices, res.families, res.coverage, set())
+    scratch = Reservoir(res.vertices)
     seq: list[int] = []
     try:
         for i, unit in enumerate(units):

@@ -2,11 +2,15 @@
 
 Everything here is written as plain nested loops over vertex tuples so the
 logic is independently auditable. Nothing imports from oriham beyond the
-graph container itself.
+graph container itself, except ``reservoir_oracle``, which takes its
+connector lists from ``enumerate_connectors`` (checked against
+``connectors_oracle`` by the connector tests).
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+from oriham.absorption import default_reservoir_size, enumerate_connectors
 
 
 def ore_min_pair(g):
@@ -90,3 +94,54 @@ def endpoint_table_oracle(g):
                     if out[v] >> w & 1 and not mask >> w & 1:
                         dp[mask | (1 << w)] |= 1 << w
     return dp
+
+
+def reservoir_oracle(g, avoid=(), target_size=None, prefer=None, stats=None):
+    """The eager reservoir selection.  Each stage k lists, for every
+    uncovered ordered non-arc pair outside ``avoid`` and the earlier
+    stages, the first 8 of its first 64 k-connectors that avoid those
+    vertices (and lie in a nonempty ``prefer``); orders all lists
+    round-robin by rank without repeats; and keeps disjoint tuples until
+    (budget - chosen) // k are kept.  Returns the chosen vertex set.
+
+    ``stats``, a dict, gains the set of stages that ran (had room) under
+    ``"stages"`` and, under ``"cut_by_cap"``, the number of pairs with more
+    than 64 connectors whose filtered list came out shorter than 8.
+    """
+    budget = target_size if target_size is not None else default_reservoir_size(g.n)
+    chosen, covered = set(), set()
+    for k in (1, 2, 3):
+        room = (budget - len(chosen)) // k
+        if room <= 0:
+            break
+        if stats is not None:
+            stats.setdefault("stages", set()).add(k)
+        banned = set(avoid) | chosen
+        stage = {}
+        for u in range(g.n):
+            for v in range(g.n):
+                if (u == v or u in banned or v in banned or g.has_arc(u, v)
+                        or (u, v) in covered):
+                    continue
+                found = enumerate_connectors(g, u, v, k, cap=65)
+                opts = [tup for tup in found[:64] if banned.isdisjoint(tup)
+                        and (not prefer or set(tup) <= set(prefer))]
+                if stats is not None and len(found) > 64 and len(opts) < 8:
+                    stats["cut_by_cap"] = stats.get("cut_by_cap", 0) + 1
+                if opts:
+                    stage[(u, v)] = opts[:8]
+        ordered, seen = [], set()
+        for rank in range(8):
+            for pair in sorted(stage):
+                if rank < len(stage[pair]) and stage[pair][rank] not in seen:
+                    seen.add(stage[pair][rank])
+                    ordered.append(stage[pair][rank])
+        kept = []
+        for tup in ordered:
+            if len(kept) < room and all(set(tup).isdisjoint(t) for t in kept):
+                kept.append(tup)
+        for tup in kept:
+            chosen.update(tup)
+        covered.update(pair for pair, opts in stage.items()
+                       if any(tup in kept for tup in opts))
+    return frozenset(chosen)

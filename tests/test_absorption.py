@@ -206,6 +206,16 @@ def test_weak_absorbers_cap_and_budget():
     assert set(small) <= set(full)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_enumerators_reject_cap_below_one(cap):
+    with pytest.raises(ValueError, match="cap"):
+        enumerate_connectors(FAN, 0, 4, 1, cap=cap)
+    with pytest.raises(ValueError, match="cap"):
+        enumerate_strong_absorbers(WEAK6, 2, 2, cap=cap)
+    with pytest.raises(ValueError, match="cap"):
+        enumerate_weak_absorbers(WEAK6, 0, 1, Fraction(1, 100), cap=cap)
+
+
 @given(st.integers(0, 12))
 def test_weak_absorbers_match_oracle(seed):
     g = random_oriented(7, 0.5, seed)
@@ -322,14 +332,20 @@ def test_default_reservoir_size():
     assert default_reservoir_size(100) == 6
 
 
+def _bridge(g, res, x, y):
+    """Join x to y through the reservoir's vertices other than x and y."""
+    return connect_through_reservoir(g, Reservoir(res.vertices - {x, y}), x, y)
+
+
 def test_reservoir_on_six_cycle():
     g = cycle_graph(6)
     res = build_reservoir(g, ())
     assert res.vertices == frozenset({1, 2, 3})
-    assert res.coverage[(0, 2)] == 1
-    assert res.coverage[(1, 3)] == 1
-    assert res.coverage[(2, 4)] == 1
-    assert res.coverage[(3, 5)] == 0
+    assert _bridge(g, res, 0, 2).vertices == (0, 1, 2)
+    assert _bridge(g, res, 1, 3).vertices == (1, 2, 3)
+    assert _bridge(g, res, 2, 4).vertices == (2, 3, 4)
+    with pytest.raises(NoConnectorAvailableError):
+        _bridge(g, res, 3, 5)
     assert res.unused() == res.vertices
 
 
@@ -337,7 +353,10 @@ def test_reservoir_transitive_tournament_empty():
     t4 = OrientedGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     res = build_reservoir(t4, ())
     assert res.vertices == frozenset()
-    assert res.coverage == {}
+    for v in range(4):
+        for u in range(v):
+            with pytest.raises(NoConnectorAvailableError):
+                _bridge(t4, res, v, u)
 
 
 def test_reservoir_prefer_is_hard_restriction():
@@ -356,7 +375,7 @@ LEDGER5 = OrientedGraph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4)])
 
 
 def test_connect_single_use_ledger():
-    res = Reservoir(frozenset({2, 3}), {}, {})
+    res = Reservoir(frozenset({2, 3}))
     p = connect_through_reservoir(LEDGER5, res, 0, 1)
     assert p.vertices == (0, 2, 1)
     assert res.ledger == {2}
@@ -369,7 +388,7 @@ def test_connect_single_use_ledger():
 
 
 def test_connect_direct_arc_free():
-    res = Reservoir(frozenset({2, 3}), {}, {})
+    res = Reservoir(frozenset({2, 3}))
     p = connect_through_reservoir(LEDGER5, res, 0, 4)
     assert p.vertices == (0, 4)
     assert res.ledger == set()
@@ -377,7 +396,7 @@ def test_connect_direct_arc_free():
 
 def test_connect_drain_mode():
     g = LEDGER5.add_arc(2, 4)
-    res = Reservoir(frozenset({2, 3}), {}, {})
+    res = Reservoir(frozenset({2, 3}))
     p = connect_through_reservoir(g, res, 0, 4, prefer_reservoir=True)
     assert p.vertices == (0, 2, 4)
     assert res.ledger == {2}
@@ -385,7 +404,7 @@ def test_connect_drain_mode():
 
 def test_connect_two_hop():
     g = OrientedGraph(4, [(0, 2), (2, 3), (3, 1)])
-    res = Reservoir(frozenset({2, 3}), {}, {})
+    res = Reservoir(frozenset({2, 3}))
     p = connect_through_reservoir(g, res, 0, 1)
     assert p.vertices == (0, 2, 3, 1)
     assert res.ledger == {2, 3}
@@ -393,13 +412,13 @@ def test_connect_two_hop():
 
 def test_connect_three_hop():
     g = OrientedGraph(6, [(0, 2), (2, 3), (3, 4), (4, 1)])
-    res = Reservoir(frozenset({2, 3, 4}), {}, {})
+    res = Reservoir(frozenset({2, 3, 4}))
     p = connect_through_reservoir(g, res, 0, 1)
     assert p.vertices == (0, 2, 3, 4, 1)
 
 
 def test_connect_rejects_reservoir_endpoints():
-    res = Reservoir(frozenset({2, 3}), {}, {})
+    res = Reservoir(frozenset({2, 3}))
     with pytest.raises(ValueError):
         connect_through_reservoir(LEDGER5, res, 2, 1)
 
@@ -431,7 +450,7 @@ def test_connector_choice_rule():
         for drain in (False, True):
             pick = (_first_connector(g, x, y, pool, (1,)) if drain else None) or want
             drained += drain and pick != want
-            res = Reservoir(pool, {}, {})
+            res = Reservoir(pool)
             if pick is None:
                 with pytest.raises(NoConnectorAvailableError):
                     connect_through_reservoir(g, res, x, y, prefer_reservoir=drain)
@@ -441,6 +460,91 @@ def test_connector_choice_rule():
             assert res.ledger == set(pick)
     assert sizes_seen == {0, 1, 2, 3, None}
     assert drained
+
+
+def _cap_graph():
+    """Stage 1 keeps 0..15: 0..7 are the first 1-connectors of (16, 19) and
+    (16, d), 8..15 those of (18, 17) and (c, 17).  The pair (16, 17) has no
+    1-connector; its one 2-connector outside 0..15 is (18, 19), but it comes
+    after the 72 through 0..7, so the cap of 64 drops it before the filter
+    could keep it."""
+    cs, ds, u, v, a, b = range(8), range(8, 16), 16, 17, 18, 19
+    return OrientedGraph(20, [(u, a), (a, b), (b, v)]
+                         + [(u, c) for c in cs] + [(c, b) for c in cs]
+                         + [(a, d) for d in ds] + [(d, v) for d in ds]
+                         + [(c, d) for c in cs for d in ds])
+
+
+def _covered_graph():
+    """Stage 1 keeps 0..7, the first 1-connectors of (8, 9), which covers
+    the pair; 10 and 11 are its later 1-connectors, and (10, 11) is its
+    2-connector, which stage 2 would keep if it walked covered pairs."""
+    x, y, w1, w2 = 8, 9, 10, 11
+    return OrientedGraph(12, [(x, c) for c in range(8)] + [(c, y) for c in range(8)]
+                         + [(x, w1), (w1, y), (w1, w2), (w2, y), (x, w2)])
+
+
+def test_reservoir_stage_two_rules():
+    # candidates are cut at 64 before the filters, and covered pairs are
+    # not walked again; either mistake would add a 2-connector
+    res = build_reservoir(_cap_graph(), (), ReservoirParams(target_size=18))
+    assert res.vertices == frozenset(range(16))
+    res = build_reservoir(_covered_graph(), (), ReservoirParams(target_size=11))
+    assert res.vertices == frozenset(range(8))
+
+
+@pytest.fixture(scope="module")
+def dense192():
+    """The first graph of the dense-pipeline benchmark workload at seed 1."""
+    return random_min_semidegree(192, 72, derive_seed(1, "dense", 0))
+
+
+def test_reservoir_matches_eager_oracle(monkeypatch, dense192):
+    # the lazy walk keeps exactly the vertices of the eager all-pairs
+    # selection, with and without avoid/prefer, through stages 2 and 3
+    walked_k = set()
+    enumerate_all = absorption.enumerate_connectors
+
+    def recording(g, u, v, k, cap=None):
+        walked_k.add(k)
+        return enumerate_all(g, u, v, k, cap)
+
+    monkeypatch.setattr(absorption, "enumerate_connectors", recording)
+    stats = {}
+    cases = [(random_oriented(n, (0.25, 0.5, 1.0)[n % 3], derive_seed(0, "eager", n)),
+              variant, (None, n // 2, n)[(n + variant) % 3])
+             for n in range(6, 61) for variant in (n % 4, (n + 2) % 4)]
+    cases += [(_cap_graph(), 0, 18), (_covered_graph(), 0, 11),
+              (dense192, 0, None), (dense192, 3, None)]
+    for g, variant, target in cases:
+        rng = rng_for(g.n, "eager", variant)
+        avoid = rng.sample(range(g.n), rng.randint(1, g.n // 3)) if variant & 1 else ()
+        prefer = (frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+                  if variant & 2 else None)
+        want = _oracles.reservoir_oracle(g, avoid, target, prefer, stats)
+        got = build_reservoir(g, avoid, ReservoirParams(target, prefer))
+        assert got.vertices == want, (g.n, variant, target)
+    assert stats["stages"] == walked_k == {1, 2, 3}
+    assert stats["cut_by_cap"] > 0
+
+
+def test_reservoir_work_bound(monkeypatch, dense192):
+    # guards the lazy walk: the eager selection called enumerate_connectors
+    # once per non-arc pair, 18,336 times on this graph; the lazy one stops
+    # after the 7 pairs that fill the 6-vertex budget
+    g = dense192
+    calls = []
+    enumerate_all = absorption.enumerate_connectors
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_all(*args, **kwargs)
+
+    monkeypatch.setattr(absorption, "enumerate_connectors", counting)
+    res = build_reservoir(g, ())
+    assert len(res.vertices) == default_reservoir_size(192)
+    assert g.n * (g.n - 1) - g.arc_count == 18336
+    assert len(calls) <= 18336 // 1000
 
 
 def test_reservoir_serves_sampled_pairs():
@@ -459,7 +563,7 @@ def test_reservoir_serves_sampled_pairs():
     ok = 0
     for i, (x, y) in enumerate(pairs):
         burn = rng_for(7, "ledger", i).choice(sorted(res.vertices))
-        scratch = Reservoir(res.vertices, res.families, res.coverage, {burn})
+        scratch = Reservoir(res.vertices, {burn})
         try:
             p = connect_through_reservoir(g, scratch, x, y)
         except NoConnectorAvailableError:

@@ -214,6 +214,16 @@ def test_absorbers_weak(tmp_path, capsys):
     assert json.loads(out)["members"] == [[2, 3, 4, 5]]
 
 
+@pytest.mark.parametrize("kind", [["connector", "--k", "1"], ["strong"], ["weak"]])
+def test_absorbers_cap_below_one_is_usage_error(tmp_path, capsys, kind):
+    path = write_graph(tmp_path, OrientedGraph(5, [(0, 1), (1, 4), (0, 2), (2, 4)]))
+    rc, out, err = run(capsys, ["absorbers", "--input", path, "--pair", "0,4",
+                                "--kind", *kind, "--cap", "0"])
+    assert rc == 2
+    assert out == ""
+    assert "cap" in err
+
+
 def test_absorbers_pair_out_of_range(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(3))
     rc, _, err = run(capsys, ["absorbers", "--input", path,

@@ -175,11 +175,11 @@ check("absorb endpoints", lambda: absorb_vertices(
 hamilton.connect_through_reservoir = lambda g, res, x, y, prefer_reservoir=False: (
     DiPath((x, 3, y) if x == 1 else (x, y)))
 check("stitch repeat", lambda: hamilton._attempt_stitch(
-    c4, AbsorbingPath((0, 1)), [DiPath((2, 3))], Reservoir(frozenset(), {}, {}), None),
+    c4, AbsorbingPath((0, 1)), [DiPath((2, 3))], Reservoir(frozenset()), None),
     CertificateError)
 # a stitched sequence that does not open with the absorbing path
 hamilton.build_absorbing_path = lambda *args, **kwargs: AbsorbingPath((0, 1))
-hamilton.build_reservoir = lambda *args: Reservoir(frozenset(), {}, {})
+hamilton.build_reservoir = lambda *args: Reservoir(frozenset())
 hamilton.greedy_path_cover = lambda *args: CoverResult(
     (DiPath((2,)),), frozenset({3}), 2, False)
 hamilton._attempt_stitch = lambda *args, **kwargs: ([1, 0, 2], frozenset())
@@ -349,6 +349,14 @@ def test_pipeline_consistent_with_dp():
         else:
             assert len([s_ for s_ in res.trace if not s_.ok]) == 1
     assert found >= 8
+
+
+def test_pipeline_at_size_cap():
+    # n = 512 is PipelineParams().max_n, the largest size the pipeline takes
+    g = random_min_semidegree(512, 192, 0, flips=512 * 512)
+    res = find_hamilton_absorption(g)
+    assert res.verdict == "cycle_found"
+    assert verify_hamilton_cycle(g, res.certificate.vertices)
 
 
 def test_stage_records_serialize():
