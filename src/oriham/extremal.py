@@ -1,9 +1,11 @@
 """Sharp four-block constructions and extremal-structure scoring.
 
 The generator builds, for each order n >= 7, an oriented graph on classes
-A, B, C, D that narrowly misses the Ore-type bound (some non-adjacent pair
-sums to exactly ceil((3n-3)/4) - 1) yet has no Hamilton cycle: every cycle
-must visit D at least as often as B, and B is kept one vertex larger than D.
+A, B, C, D that has no Hamilton cycle: every cycle must visit D at least as
+often as B, and B is kept one vertex larger than D.  Some non-adjacent pair
+sums to exactly ceil((3n-3)/4) - 1, one below the Ore-type bound, but that
+is the minimum pair sum only when a = 0.  For a >= 1 the minimum is lower
+(8 against 11 at n = 16, a = 1; 12 against 17 at n = 24, a = 1).
 
 Class sizes depend on n mod 4 (k = n // 4, free parameter a = |A|):
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conditions import non_arc_pairs
-from .graph import OrientedGraph, Partition4, mask_of
+from .graph import OrientedGraph, Partition4, iter_bits, mask_of
 from .seeds import derive_seed, rng_for
 
 
@@ -208,6 +210,11 @@ def find_sharp_pair(g: OrientedGraph, bound: int) -> tuple[int, int] | None:
 # rounding, which the asymptotic tolerance eta*n cannot see at desk scale.
 SIZE_ROUNDING_ALLOWANCE = 2
 
+# find_extremal_partition: seeded starts tried, and passes over all vertices
+# per start.
+PARTITION_RESTARTS = 6
+PARTITION_MOVE_BUDGET = 400
+
 
 @dataclass(frozen=True)
 class ExtremalityReport:
@@ -239,37 +246,63 @@ class ExtremalityReport:
         }
 
 
-def _partition_slacks(g: OrientedGraph, part: Partition4, eta: Fraction,
-                      c_eta: Fraction) -> dict[str, Fraction]:
-    n = g.n
-    size_tol = c_eta * eta * n + SIZE_ROUNDING_ALLOWANCE
-    edge_tol = c_eta * eta * n * n
-    a, b, c, d = part.A, part.B, part.C, part.D
+SLACK_NAMES = ("size_AC", "size_B", "size_D", "e_AB", "e_BC", "e_CD", "e_DA",
+               "e_BD", "e_DB", "e_A", "e_C", "e_AC", "e_D")
 
-    def between(xs, ys) -> int:
-        return g.count_arcs_between(xs, ys)
 
-    def within(xs) -> int:
-        return g.count_arcs_within(xs)
+def _arc_counts(g: OrientedGraph, masks: list[int]) -> list[int]:
+    """E[X][Y], flattened to index 4X + Y, for the four class bitmasks."""
+    e = [0] * 16
+    for x, xmask in enumerate(masks):
+        for v in iter_bits(xmask):
+            out = g.out_bits(v)
+            for y, ymask in enumerate(masks):
+                e[4 * x + y] += (out & ymask).bit_count()
+    return e
 
-    return {
-        "size_AC": size_tol - abs(len(a) + len(c) - Fraction(n, 2)),
-        "size_B": size_tol - abs(len(b) - Fraction(n, 4)),
-        "size_D": size_tol - abs(len(d) - Fraction(n, 4)),
-        "e_AB": between(a, b) - (len(a) * len(b) - edge_tol),
-        "e_BC": between(b, c) - (len(b) * len(c) - edge_tol),
-        "e_CD": between(c, d) - (len(c) * len(d) - edge_tol),
-        "e_DA": between(d, a) - (len(a) * len(d) - edge_tol),
-        "e_BD": between(b, d) - (Fraction(len(a) * n, 8) - edge_tol),
-        "e_DB": between(d, b) - (Fraction(len(c) * n, 8) - edge_tol),
+
+def _scaled_slacks(n: int, sizes: list[int], e: list[int], p: int,
+                   q: int) -> tuple[int, ...]:
+    """The slacks of SLACK_NAMES times s = 8q, which makes each an integer,
+    from the class sizes and the arc counts E[X][Y] of ``_arc_counts``.
+
+    Size conditions have tolerance c_eta*eta*n + SIZE_ROUNDING_ALLOWANCE and
+    edge-count conditions c_eta*eta*n^2, where p/q = c_eta*eta in lowest
+    terms.
+    """
+    a, b, c, d = sizes
+    s = 8 * q
+    size_tol = 8 * p * n + SIZE_ROUNDING_ALLOWANCE * s
+    edge_tol = 8 * p * n * n
+    return (
+        size_tol - abs(s * (a + c) - 4 * q * n),
+        size_tol - abs(s * b - 2 * q * n),
+        size_tol - abs(s * d - 2 * q * n),
+        s * e[1] - (s * a * b - edge_tol),     # A -> B
+        s * e[6] - (s * b * c - edge_tol),     # B -> C
+        s * e[11] - (s * c * d - edge_tol),    # C -> D
+        s * e[12] - (s * a * d - edge_tol),    # D -> A
+        s * e[7] - (q * a * n - edge_tol),     # B -> D
+        s * e[13] - (q * c * n - edge_tol),    # D -> B
         # within-class lower bounds use the binomial count: a full tournament
         # on X carries exactly |X|(|X|-1)/2 arcs, and the n/8-order diagonal
         # term sits below what an n^2-order tolerance can absorb at small n
-        "e_A": within(a) - (Fraction(len(a) * (len(a) - 1), 2) - edge_tol),
-        "e_C": within(c) - (Fraction(len(c) * (len(c) - 1), 2) - edge_tol),
-        "e_AC": edge_tol - between(a, c),
-        "e_D": edge_tol - within(d),
-    }
+        s * e[0] - (4 * q * a * (a - 1) - edge_tol),    # inside A
+        s * e[10] - (4 * q * c * (c - 1) - edge_tol),   # inside C
+        edge_tol - s * e[2],                   # A -> C
+        edge_tol - s * e[15],                  # inside D
+    )
+
+
+def _partition_slacks(g: OrientedGraph, part: Partition4, eta: Fraction,
+                      c_eta: Fraction) -> dict[str, Fraction]:
+    classes = (part.A, part.B, part.C, part.D)
+    tol = c_eta * eta
+    e = _arc_counts(g, [mask_of(xs) for xs in classes])
+    scaled = _scaled_slacks(g.n, [len(xs) for xs in classes], e,
+                            tol.numerator, tol.denominator)
+    s = 8 * tol.denominator
+    return {name: Fraction(x, s) for name, x in zip(SLACK_NAMES, scaled)}
 
 
 def verify_partition(g: OrientedGraph, part: Partition4, eta: Fraction,
@@ -305,28 +338,36 @@ def minimal_eta(g: OrientedGraph, part: Partition4,
 
 
 def find_extremal_partition(g: OrientedGraph, eta: Fraction,
-                            c_eta: Fraction = Fraction(1), seed: int = 0,
-                            restarts: int = 6, move_budget: int = 400
+                            c_eta: Fraction = Fraction(1), seed: int = 0
                             ) -> tuple[Partition4, ExtremalityReport] | None:
     """Search for a labeling that the structure test accepts.
 
     Heuristic: candidate starts from degree-imbalance ordering (B-like
     vertices send more than they receive, D-like the reverse) plus seeded
     perturbations, refined by single-vertex moves that maximize the minimum
-    slack.  Returns the best partition found with its report, or None for
-    graphs too small to split.
+    slack, then the slack sum (first improvement, v ascending, destination
+    A, B, C, D).  Returns the best partition found with its report, or None
+    for graphs too small to split.
+
+    A move is scored without recounting: the search keeps the class sizes
+    and the 4x4 matrix E[X][Y] of arcs from class X to class Y, and moving v
+    from S to T shifts v's out- and in-neighbour counts per class (8
+    popcounts per v) from row and column S to row and column T.  Slacks are
+    compared exactly, as the integers of ``_scaled_slacks``; the positive
+    scale keeps their order, so the moves accepted are the same.
     """
     n = g.n
     if n < 4:
         return None
     eta, c_eta = Fraction(eta), Fraction(c_eta)
+    tol = c_eta * eta
+    p, q = tol.numerator, tol.denominator
 
-    def score(part: Partition4) -> tuple:
-        slacks = _partition_slacks(g, part, eta, c_eta)
-        worst = min(slacks.values())
-        return (worst, sum(slacks.values()))
+    def score(sizes: list[int], e: list[int]) -> tuple[int, int]:
+        slacks = _scaled_slacks(n, sizes, e, p, q)
+        return (min(slacks), sum(slacks))
 
-    def degree_start(rng) -> Partition4:
+    def degree_start(rng) -> tuple[set[int], ...]:
         jitter = {v: rng.random() for v in range(n)}
         order = sorted(range(n),
                        key=lambda v: (g.out_degree(v) - g.in_degree(v), jitter[v]))
@@ -341,33 +382,46 @@ def find_extremal_partition(g: OrientedGraph, eta: Fraction,
             c_like = ((g.in_bits(v) & b_mask).bit_count()
                       + (g.out_bits(v) & d_mask).bit_count())
             (a_side if a_like >= c_like else c_side).add(v)
-        return Partition4.of(a_side, b_side, c_side, d_side)
+        return a_side, b_side, c_side, d_side
 
-    def local_search(part: Partition4) -> Partition4:
-        current = part
-        current_score = score(current)
-        for _ in range(move_budget):
+    def local_search(classes: tuple[set[int], ...]) -> Partition4:
+        masks = [mask_of(xs) for xs in classes]
+        sizes = [len(xs) for xs in classes]
+        e = _arc_counts(g, masks)
+        current = score(sizes, e)
+        for _ in range(PARTITION_MOVE_BUDGET):
             improved = False
             for v in range(n):
-                for dst in "ABCD":
-                    src = current.class_of(v)
+                src = next(k for k, m in enumerate(masks) if m >> v & 1)
+                # v has no loop, so these counts stay valid as v moves
+                out_v, in_v = g.out_bits(v), g.in_bits(v)
+                outs = [(out_v & m).bit_count() for m in masks]
+                ins = [(in_v & m).bit_count() for m in masks]
+                for dst in range(4):
                     if dst == src:
                         continue
-                    classes = {k: set(s) for k, s in current.classes().items()}
-                    classes[src].discard(v)
-                    classes[dst].add(v)
-                    cand = Partition4.of(classes["A"], classes["B"],
-                                         classes["C"], classes["D"])
-                    cand_score = score(cand)
-                    if cand_score > current_score:
-                        current, current_score = cand, cand_score
+                    cand_e = e[:]
+                    for k in range(4):
+                        cand_e[4 * src + k] -= outs[k]
+                        cand_e[4 * dst + k] += outs[k]
+                        cand_e[4 * k + src] -= ins[k]
+                        cand_e[4 * k + dst] += ins[k]
+                    cand_sizes = sizes[:]
+                    cand_sizes[src] -= 1
+                    cand_sizes[dst] += 1
+                    cand = score(cand_sizes, cand_e)
+                    if cand > current:
+                        e, sizes, current = cand_e, cand_sizes, cand
+                        masks[src] &= ~(1 << v)
+                        masks[dst] |= 1 << v
+                        src = dst
                         improved = True
             if not improved:
                 break
-        return current
+        return Partition4.of(*(iter_bits(m) for m in masks))
 
     best: tuple[Partition4, ExtremalityReport] | None = None
-    for r in range(restarts):
+    for r in range(PARTITION_RESTARTS):
         rng = rng_for(seed, "partition-search", r)
         part = local_search(degree_start(rng))
         report = verify_partition(g, part, eta, c_eta)

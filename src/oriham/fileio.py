@@ -36,7 +36,6 @@ def parse_edge_list(text: str) -> OrientedGraph:
 
     out = [0] * n
     inn = [0] * n
-    arcs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
         if len(parts) != 2:
@@ -51,11 +50,11 @@ def parse_edge_list(text: str) -> OrientedGraph:
             raise EdgeListParseError(lineno, str(exc)) from None
         if added == 0:
             raise EdgeListParseError(lineno, f"duplicate arc ({u}, {v})")
-        arcs.append((u, v))
-    if len(arcs) != declared:
+    count = len(lines) - 1
+    if count != declared:
         raise EdgeListParseError(
-            len(lines), f"header declares {declared} arcs, file has {len(arcs)}")
-    return OrientedGraph(n, arcs)
+            len(lines), f"header declares {declared} arcs, file has {count}")
+    return OrientedGraph._from_bits(n, out, inn, count)
 
 
 def emit_edge_list(g: OrientedGraph) -> str:

@@ -62,8 +62,7 @@ class OrientedGraph:
     __slots__ = ("n", "arc_count", "_out", "_in")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        if n < 0 or n > MAX_VERTICES:
-            raise OutOfRangeError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        _check_order(n)
         out = [0] * n
         inn = [0] * n
         count = 0
@@ -92,9 +91,17 @@ class OrientedGraph:
         out = list(self._out)
         inn = list(self._in)
         added = _insert_arc(out, inn, self.n, u, v)
-        g = object.__new__(OrientedGraph)
-        object.__setattr__(g, "n", self.n)
-        object.__setattr__(g, "arc_count", self.arc_count + added)
+        return OrientedGraph._from_bits(self.n, out, inn, self.arc_count + added)
+
+    @classmethod
+    def _from_bits(cls, n: int, out: list[int], inn: list[int],
+                   arc_count: int) -> "OrientedGraph":
+        """Wrap adjacency bitsets that ``_insert_arc`` already validated,
+        without inserting the arcs again."""
+        _check_order(n)
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "arc_count", arc_count)
         object.__setattr__(g, "_out", tuple(out))
         object.__setattr__(g, "_in", tuple(inn))
         return g
@@ -179,6 +186,11 @@ class OrientedGraph:
 
     def __repr__(self) -> str:
         return f"OrientedGraph(n={self.n}, arcs={self.arc_count})"
+
+
+def _check_order(n: int) -> None:
+    if n < 0 or n > MAX_VERTICES:
+        raise OutOfRangeError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
 
 
 def _insert_arc(out: list[int], inn: list[int], n: int, u: int, v: int) -> int:

@@ -4,13 +4,18 @@ Everything here is written as plain nested loops over vertex tuples so the
 logic is independently auditable. Nothing imports from oriham beyond the
 graph container itself, except ``reservoir_oracle``, which takes its
 connector lists from ``enumerate_connectors`` (checked against
-``connectors_oracle`` by the connector tests).
+``connectors_oracle`` by the connector tests), and the partition search
+oracles, which take the partition and report types, the size allowance and
+the seeded random streams from the library.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
 from oriham.absorption import default_reservoir_size, enumerate_connectors
+from oriham.extremal import SIZE_ROUNDING_ALLOWANCE, ExtremalityReport
+from oriham.graph import Partition4, mask_of
+from oriham.seeds import rng_for
 
 
 def ore_min_pair(g):
@@ -145,3 +150,96 @@ def reservoir_oracle(g, avoid=(), target_size=None, prefer=None, stats=None):
         covered.update(pair for pair, opts in stage.items()
                        if any(tup in kept for tup in opts))
     return frozenset(chosen)
+
+
+def slacks_oracle(g, part, eta, c_eta):
+    """The 13 near-extremal slacks as exact Fractions, counted over the
+    class sets with ``count_arcs_between`` / ``count_arcs_within``."""
+    n = g.n
+    size_tol = c_eta * eta * n + SIZE_ROUNDING_ALLOWANCE
+    edge_tol = c_eta * eta * n * n
+    a, b, c, d = part.A, part.B, part.C, part.D
+    between, within = g.count_arcs_between, g.count_arcs_within
+    return {
+        "size_AC": size_tol - abs(len(a) + len(c) - Fraction(n, 2)),
+        "size_B": size_tol - abs(len(b) - Fraction(n, 4)),
+        "size_D": size_tol - abs(len(d) - Fraction(n, 4)),
+        "e_AB": between(a, b) - (len(a) * len(b) - edge_tol),
+        "e_BC": between(b, c) - (len(b) * len(c) - edge_tol),
+        "e_CD": between(c, d) - (len(c) * len(d) - edge_tol),
+        "e_DA": between(d, a) - (len(a) * len(d) - edge_tol),
+        "e_BD": between(b, d) - (Fraction(len(a) * n, 8) - edge_tol),
+        "e_DB": between(d, b) - (Fraction(len(c) * n, 8) - edge_tol),
+        "e_A": within(a) - (Fraction(len(a) * (len(a) - 1), 2) - edge_tol),
+        "e_C": within(c) - (Fraction(len(c) * (len(c) - 1), 2) - edge_tol),
+        "e_AC": edge_tol - between(a, c),
+        "e_D": edge_tol - within(d),
+    }
+
+
+def partition_search_oracle(g, eta, c_eta=Fraction(1), seed=0,
+                            restarts=6, move_budget=400):
+    """The partition search with every candidate move rescored in full:
+    degree-imbalance starts, first-improvement single-vertex moves (v
+    ascending, destination A, B, C, D) ranked by (min slack, slack sum),
+    one report per restart, stop at the first accepted partition."""
+    n = g.n
+    if n < 4:
+        return None
+    eta, c_eta = Fraction(eta), Fraction(c_eta)
+
+    def score(part):
+        slacks = slacks_oracle(g, part, eta, c_eta)
+        return (min(slacks.values()), sum(slacks.values()))
+
+    def degree_start(rng):
+        jitter = {v: rng.random() for v in range(n)}
+        order = sorted(range(n),
+                       key=lambda v: (g.out_degree(v) - g.in_degree(v), jitter[v]))
+        quarter = max(1, round(n / 4))
+        d_side = set(order[:quarter])
+        b_side = set(order[-quarter:])
+        b_mask, d_mask = mask_of(b_side), mask_of(d_side)
+        a_side, c_side = set(), set()
+        for v in order[quarter:-quarter]:
+            a_like = ((g.out_bits(v) & b_mask).bit_count()
+                      + (g.in_bits(v) & d_mask).bit_count())
+            c_like = ((g.in_bits(v) & b_mask).bit_count()
+                      + (g.out_bits(v) & d_mask).bit_count())
+            (a_side if a_like >= c_like else c_side).add(v)
+        return Partition4.of(a_side, b_side, c_side, d_side)
+
+    def local_search(part):
+        current = part
+        current_score = score(current)
+        for _ in range(move_budget):
+            improved = False
+            for v in range(n):
+                for dst in "ABCD":
+                    src = current.class_of(v)
+                    if dst == src:
+                        continue
+                    classes = {k: set(s) for k, s in current.classes().items()}
+                    classes[src].discard(v)
+                    classes[dst].add(v)
+                    cand = Partition4.of(classes["A"], classes["B"],
+                                         classes["C"], classes["D"])
+                    cand_score = score(cand)
+                    if cand_score > current_score:
+                        current, current_score = cand, cand_score
+                        improved = True
+            if not improved:
+                break
+        return current
+
+    best = None
+    for r in range(restarts):
+        part = local_search(degree_start(rng_for(seed, "partition-search", r)))
+        slacks = slacks_oracle(g, part, eta, c_eta)
+        report = ExtremalityReport(eta, c_eta, slacks,
+                                   all(s >= 0 for s in slacks.values()))
+        if best is None or report.min_slack() > best[1].min_slack():
+            best = (part, report)
+        if best[1].verdict:
+            break
+    return best

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,11 @@ from oriham import (
     table_params,
     verify_partition,
 )
+from oriham import extremal
+from oriham.conditions import check_ore
 from oriham.seeds import derive_seed
+
+import _oracles
 
 
 def test_sharp_bound_values():
@@ -330,6 +335,102 @@ def test_find_partition_rejects_random_tournament():
 
 def test_find_partition_tiny_graph():
     assert find_extremal_partition(OrientedGraph.empty(3), Fraction(1, 10)) is None
+
+
+SEARCH_ETAS = (Fraction(1, 100), Fraction(1, 20), Fraction(1, 3))
+SEARCH_C_ETAS = (Fraction(0), Fraction(3, 7), Fraction(1))
+
+
+def _certify_graph():
+    return generate_extremal(table_params(192, 24, ac_extra=48, d_extra=24))[0]
+
+
+def _search_cases():
+    """(graph, eta, c_eta, seed): the certify-size graph, random graphs
+    n = 4..40 and four-block graphs with extra arcs, cycling through every
+    (eta, c_eta) pair.  Most random graphs exhaust every restart."""
+    combos = [(eta, c) for eta in SEARCH_ETAS for c in SEARCH_C_ETAS]
+    yield _certify_graph(), Fraction(1, 20), Fraction(1), 0
+    for i, n in enumerate(range(4, 41, 3)):
+        eta, c = combos[i % len(combos)]
+        yield random_oriented(n, 0.3 + (n % 5) / 10, n), eta, c, n
+    for i, (n, a) in enumerate([(7, 1), (12, 2), (16, 1), (17, 3), (23, 4),
+                                (26, 2), (33, 5), (40, 6), (33, 0)]):
+        g, _ = generate_extremal(table_params(n, a, ac_extra=n // 4,
+                                              d_extra=n // 6, seed=i))
+        yield (g, *combos[i], i)
+
+
+def test_partition_search_matches_oracle(monkeypatch):
+    restarts = []
+    calls = []
+    real = extremal.verify_partition
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(extremal, "verify_partition", counted)
+    for g, eta, c_eta, seed in _search_cases():
+        calls.clear()
+        found = find_extremal_partition(g, eta, c_eta, seed=seed)
+        restarts.append(len(calls))
+        expected = _oracles.partition_search_oracle(g, eta, c_eta, seed=seed)
+        assert found is not None and expected is not None
+        assert found[0] == expected[0], (g.n, eta, c_eta)
+        assert found[1].to_json_dict() == expected[1].to_json_dict()
+    assert extremal.PARTITION_RESTARTS == 6
+    assert extremal.PARTITION_MOVE_BUDGET == 400
+    assert extremal.PARTITION_RESTARTS in restarts  # no restart accepted
+    assert min(restarts) == 1                       # the first start accepted
+
+
+def test_partition_slacks_match_oracle():
+    rng = random.Random(11)
+    empty_classes = 0
+    for t in range(300):
+        n = t % 9 if t < 27 else rng.randint(0, 24)
+        g = random_oriented(n, rng.random(), t)
+        labels = [rng.randrange(rng.randint(1, 4)) for _ in range(n)]
+        part = Partition4.of(*([v for v in range(n) if labels[v] == k]
+                               for k in range(4)))
+        empty_classes += any(not xs for xs in part.classes().values())
+        eta = Fraction(rng.randint(0, 12), rng.randint(1, 40))
+        c_eta = SEARCH_C_ETAS[t % 3]
+        got = extremal._partition_slacks(g, part, eta, c_eta)
+        want = _oracles.slacks_oracle(g, part, eta, c_eta)
+        assert list(got.items()) == list(want.items())
+    assert empty_classes > 100
+
+
+def test_partition_search_work_bound(monkeypatch):
+    """Moves are scored from the arc-count matrix: the slacks are evaluated
+    only for the one report per restart."""
+    calls = []
+    real = extremal._partition_slacks
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(extremal, "_partition_slacks", counted)
+    found = find_extremal_partition(_certify_graph(), Fraction(1, 20))
+    assert found is not None and found[1].verdict
+    assert 1 <= len(calls) <= extremal.PARTITION_RESTARTS
+
+
+@pytest.mark.parametrize("n, minima", [(16, [11, 8, 9, 10]),
+                                        (17, [11, 8, 9, 10]),
+                                        (24, [17, 12, 13, 14])])
+def test_construction_ore_minimum(n, minima):
+    """The witness pair sums to sharp_bound(n) for every a, but that is the
+    minimum pair sum only at a = 0; for a >= 1 the minimum is lower."""
+    for a, minimum in enumerate(minima):
+        g, _ = generate_extremal(table_params(n, a))
+        rep = check_ore(g)
+        assert rep.margin + Fraction(3 * n - 3, 4) == minimum
+        assert find_sharp_pair(g, sharp_bound(n)) is not None
+    assert minima[0] == sharp_bound(n)
 
 
 def test_params_frozen():

@@ -5,11 +5,14 @@ from hypothesis import strategies as st
 from oriham import (
     EdgeListParseError,
     OrientedGraph,
+    OutOfRangeError,
     SelfLoopError,
     TwoCycleError,
     emit_edge_list,
     parse_edge_list,
+    random_oriented,
 )
+from oriham import graph
 
 
 def test_parse_cycle():
@@ -44,6 +47,26 @@ def test_round_trip_random(n, pairs):
             except (SelfLoopError, TwoCycleError):
                 pass
     assert parse_edge_list(emit_edge_list(g)) == g
+
+
+def test_parse_inserts_each_arc_once(monkeypatch):
+    """The parser wraps the bitsets it validated line by line instead of
+    handing the arc list to OrientedGraph, which would insert it again."""
+    ref = random_oriented(30, 0.5, 7)
+    inserts = []
+    real = graph._insert_arc
+
+    def counted(*args):
+        inserts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graph, "_insert_arc", counted)
+    g = parse_edge_list(emit_edge_list(ref))
+    assert inserts == []
+    assert g == ref and g.arc_count == ref.arc_count
+    assert [g.in_bits(v) for v in range(g.n)] == [ref.in_bits(v) for v in range(ref.n)]
+    with pytest.raises(OutOfRangeError):
+        parse_edge_list(f"{graph.MAX_VERTICES + 1} 0\n")
 
 
 def err(text):
