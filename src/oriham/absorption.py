@@ -26,6 +26,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .graph import DiPath, InvalidPathError, OrientedGraph, iter_bits, mask_of
 from .seeds import derive_seed
 
@@ -135,21 +137,41 @@ class ConnectivityProfile:
         }
 
 
+_PROFILE_BLOCK = 1 << 20  # entries of one row block of the walk counts
+
+
 def connectivity_profile(g: OrientedGraph) -> ConnectivityProfile:
     """For every ordered pair (u, v) with no arc u->v, the smallest
     k in {1, 2, 3} admitting a connector, with the count at that k;
-    pairs with none at any k are flagged."""
+    pairs with none at any k are flagged.
+
+    The counts are entries of A^2, A^3 and A^4 for the adjacency matrix A:
+    on such a pair every walk u -> w1 .. wk -> v with k <= 3 is a
+    k-connector, since an oriented graph has no loops, no 2-cycles and
+    here no arc u->v.  Entries stay below n^3 < 2^53, so float64 products
+    are exact.  Rows go in blocks, so memory stays bounded at n = 4096.
+    """
+    n = g.n
+    adj = g.adjacency_matrix()
+    a = adj.astype(np.float64)
     best: dict[Pair, tuple[int, int]] = {}
     dead: list[Pair] = []
-    for u in range(g.n):
-        for v in iter_bits(g.non_out_bits(u)):
-            for k in (1, 2, 3):
-                c = count_connectors(g, u, v, k)
-                if c:
-                    best[(u, v)] = (k, c)
-                    break
-            else:
-                dead.append((u, v))
+    step = max(1, _PROFILE_BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        w2 = a[lo:lo + step] @ a
+        w3 = w2 @ a
+        w4 = w3 @ a
+        non_arc = adj[lo:lo + step] == 0
+        non_arc[np.arange(len(non_arc)), np.arange(lo, lo + len(non_arc))] = False
+        u, v = np.nonzero(non_arc)
+        walks = np.stack([w2[u, v], w3[u, v], w4[u, v]])
+        k = (walks > 0).argmax(axis=0)
+        count = walks[k, np.arange(len(k))].astype(np.int64)
+        live = count > 0
+        u += lo
+        best.update(zip(zip(u[live].tolist(), v[live].tolist()),
+                        zip((k[live] + 1).tolist(), count[live].tolist())))
+        dead.extend(zip(u[~live].tolist(), v[~live].tolist()))
     return ConnectivityProfile(best, tuple(dead))
 
 
@@ -415,8 +437,7 @@ def default_reservoir_size(n: int) -> int:
 
 
 def build_reservoir(g: OrientedGraph, avoid: Iterable[int],
-                    params: ReservoirParams | None = None,
-                    seed: int = 0) -> Reservoir:
+                    params: ReservoirParams | None = None) -> Reservoir:
     """Choose a small vertex set R, staged over k = 1, 2, 3, so that
     ordered non-adjacent pairs outside R can be joined through it.
 
@@ -428,7 +449,6 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int],
     The walk enumerates a pair's connectors only when it reaches the pair
     and stops once that room is full, within the first few pairs of a
     dense graph; a stage that leaves room for the next was walked in full.
-    No random numbers are drawn, so ``seed`` has no effect.
     """
     params = params or ReservoirParams()
     budget = (params.target_size if params.target_size is not None

@@ -5,11 +5,20 @@ arc, 0-based ids, LF terminated.  Parsing rejects self-loops, 2-cycles,
 out-of-range ids, duplicates and count mismatches with 1-based line
 numbers; emitting writes arcs in sorted order so parse/emit round-trips
 normalize.
+
+A regular file (ASCII, every line exactly ``token SP token LF``, the form
+``emit_edge_list`` writes) holding a valid graph is parsed with numpy in
+one pass, to the graph the line loop would build.  Every other file goes
+through the line-by-line loop, so each error keeps its message and line
+number whichever path was tried first.
 """
 
 from __future__ import annotations
 
-from .graph import GraphError, OrientedGraph, _insert_arc
+import numpy as np
+
+from .graph import (MAX_VERTICES, GraphError, OrientedGraph, _insert_arc,
+                    _rows_to_bits)
 
 
 class EdgeListParseError(ValueError):
@@ -19,6 +28,58 @@ class EdgeListParseError(ValueError):
 
 
 def parse_edge_list(text: str) -> OrientedGraph:
+    g = _parse_regular(text)
+    return g if g is not None else _parse_lines(text)
+
+
+# byte classes of a regular file: 1 may occur in an int() token, 2 is the
+# space inside a line, 3 ends a line, 0 sends the file to the line loop
+_BYTE_CLASS = np.zeros(256, np.uint8)
+_BYTE_CLASS[list(b"0123456789+-_")] = 1
+_BYTE_CLASS[ord(" ")] = 2
+_BYTE_CLASS[ord("\n")] = 3
+
+
+def _parse_regular(text: str) -> OrientedGraph | None:
+    """The graph of a regular, valid file, or None to defer to the loop.
+
+    Tokens hold only bytes of class 1 and are separated by alternating
+    single spaces and LFs, so ``bytes.split`` yields the loop's tokens;
+    numpy converts each with ``int()``, so a token is read as the loop
+    reads it or rejected.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    cls = _BYTE_CLASS[np.frombuffer(data, np.uint8)]
+    if cls.size == 0 or cls[-1] != 3 or not cls.all():
+        return None
+    cuts = np.flatnonzero(cls >= 2)
+    seps = cls[cuts]
+    if (cuts[0] == 0 or (np.diff(cuts) == 1).any()
+            or (seps[0::2] != 2).any() or (seps[1::2] != 3).any()):
+        return None
+    try:
+        vals = np.array(data.split(), np.int64)
+    except (ValueError, OverflowError):
+        return None
+    n, declared = int(vals[0]), int(vals[1])
+    ids = vals[2:]
+    if (not 0 <= n <= MAX_VERTICES or 2 * declared != ids.size
+            or ((ids < 0) | (ids >= n)).any()):
+        return None
+    u, v = ids[0::2], ids[1::2]
+    adj = np.zeros((n, n), bool)
+    adj[u, v] = True
+    # fewer set entries than arcs means a duplicate; a self-loop sets a
+    # diagonal entry, which adj & adj.T keeps, as it keeps each 2-cycle
+    if adj.sum() != declared or (adj & adj.T).any():
+        return None
+    return OrientedGraph._from_bits(n, _rows_to_bits(adj), _rows_to_bits(adj.T),
+                                    declared)
+
+
+def _parse_lines(text: str) -> OrientedGraph:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

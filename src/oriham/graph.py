@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 MAX_VERTICES = 4096
 
 
@@ -160,6 +162,13 @@ class OrientedGraph:
     def vertices(self) -> range:
         return range(self.n)
 
+    def adjacency_matrix(self) -> np.ndarray:
+        """n x n uint8 matrix with entry [u, v] = 1 exactly for arcs u->v."""
+        width = (self.n + 7) // 8
+        raw = b"".join(bits.to_bytes(width, "little") for bits in self._out)
+        rows = np.frombuffer(raw, np.uint8).reshape(self.n, width)
+        return np.unpackbits(rows, axis=1, count=self.n, bitorder="little")
+
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -186,6 +195,12 @@ class OrientedGraph:
 
     def __repr__(self) -> str:
         return f"OrientedGraph(n={self.n}, arcs={self.arc_count})"
+
+
+def _rows_to_bits(adj: np.ndarray) -> list[int]:
+    """Bitsets of a boolean matrix's rows: bit j of row i is adj[i, j]."""
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _check_order(n: int) -> None:

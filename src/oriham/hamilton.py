@@ -310,8 +310,7 @@ def find_hamilton_absorption(g: OrientedGraph,
         v for v in range(g.n)
         if v not in p_abs.vertex_set()
         and any(p_abs.strong[i].serves(g, v, v) for i in p_abs.free_strong()))
-    res = build_reservoir(g, p_abs.vertex_set(), ReservoirParams(prefer=servable),
-                          derive_seed(seed, "reservoir"))
+    res = build_reservoir(g, p_abs.vertex_set(), ReservoirParams(prefer=servable))
     trace.append(StageRecord("reservoir", True, {
         "vertices": len(res.vertices),
         "servable_share": len(res.vertices & servable),

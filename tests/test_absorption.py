@@ -123,6 +123,16 @@ def test_profile_matches_oracle():
         assert prof.unconnectable == tuple(dead)
 
 
+def test_profile_row_blocks(monkeypatch):
+    """Row blocks of any height give the profile of the whole matrix."""
+    graphs = [random_oriented(9, 0.25, derive_seed(1, "blocks", i)) for i in range(6)]
+    whole = [connectivity_profile(g) for g in graphs]
+    assert {k for prof in whole for k, _ in prof.best.values()} == {1, 2, 3}
+    for entries in (1, 20):
+        monkeypatch.setattr(absorption, "_PROFILE_BLOCK", entries)
+        assert [connectivity_profile(g) for g in graphs] == whole
+
+
 def test_profile_cycle3():
     prof = connectivity_profile(C3)
     assert prof.unconnectable == ()
@@ -551,7 +561,7 @@ def test_reservoir_serves_sampled_pairs():
     # dense instance: a small reservoir bridges sampled non-adjacent pairs
     # even after one vertex has already been consumed
     g = random_min_semidegree(40, 15, 7)
-    res = build_reservoir(g, (), ReservoirParams(target_size=8), seed=7)
+    res = build_reservoir(g, (), ReservoirParams(target_size=8))
     assert len(res.vertices) == 8
     outside = [v for v in range(40) if v not in res.vertices]
     rng = rng_for(7, "pairs")

@@ -2,6 +2,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oriham import OrientedGraph, emit_edge_list, generate_extremal, parse_edge_list, table_params
 from oriham import cli
@@ -123,6 +125,24 @@ def test_check_missing_file(capsys):
                               "--input", "/no/such/file"])
     assert rc == 2
     assert "error:" in err
+
+
+def test_check_binary_input_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.bin"
+    path.write_bytes(b"3 1\n0 \xff\n")
+    rc, _, err = run(capsys, ["check", "--condition", "ore", "--input", str(path)])
+    assert rc == 2
+    assert f"{path}: not a text file" in err
+
+
+def test_score_partition_binary_file_is_usage_error(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(4))
+    pfile = tmp_path / "part.bin"
+    pfile.write_bytes(b'{"A": [\xff]}')
+    rc, _, err = run(capsys, ["score-partition", "--input", path,
+                              "--partition", str(pfile), "--eta", "1/20"])
+    assert rc == 2
+    assert f"{pfile}: not a text file" in err
 
 
 def test_score_partition_roundtrip(tmp_path, capsys):
@@ -345,3 +365,80 @@ def test_sweep_deterministic_output(tmp_path, capsys):
                              "--timestamp", TS, "--out", str(b)])
     assert rc1 == rc2 == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# -- the JSON emitter ----------------------------------------------------------
+
+
+def reference_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+names = st.text(max_size=4)
+
+
+@st.composite
+def record_maps(draw):
+    """Maps of int records with one key set, the shape of profile's pairs."""
+    fields = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    row = st.tuples(*[st.integers() for _ in fields]).map(
+        lambda vals: dict(zip(fields, vals)))
+    return draw(st.dictionaries(names, row, max_size=5))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(names, kids, max_size=4) | record_maps()),
+    max_leaves=24)
+
+
+@given(json_values)
+def test_dumps_matches_json(obj):
+    assert cli._dumps(obj) == reference_dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"p": {"0,1": {"count": 3, "k": 1}, "0,2": {"count": -2, "k": 10 ** 30}}},
+    {"a": {"k": 1}, "b": {"k": True}},
+    {"a": {"k": 1}, "b": {"k": 1.0}},
+    {"a": {"k": 1}, "b": {"j": 1}},
+    {"a": {"k": 1}, "b": {"k": 1, "j": 2}},
+    {"%d": {"%(x)": 1, "y)": 2}, "é": {"%(x)": 3, "y)": 4}},
+    {"a": {}, "b": {}},
+    {"w": ((1, 2), [3, (4,)]), "e": [[], {}, ()], "s": "\u00e9\n\"\x00"},
+    {2: "a", 10: "b"},
+    {"x": {2: "a", 10: "b"}},
+    {"x": {"a": {3: 1}, "b": {3: 2}}},
+    [{"k": 1}, {"k": 2}],
+    "solo",
+    -7,
+])
+def test_dumps_edge_shapes(obj):
+    assert cli._dumps(obj) == reference_dumps(obj)
+
+
+def test_certify_reports_match_json(tmp_path, capsys, monkeypatch):
+    """Every report a certify run writes on an n = 192 near-extremal graph
+    is byte-identical to json.dumps(sort_keys=True, indent=2)."""
+    g, part = generate_extremal(table_params(192, 24, ac_extra=48, d_extra=24))
+    path = write_graph(tmp_path, g)
+    pfile = tmp_path / "part.json"
+    pfile.write_text(json.dumps({k: sorted(vs) for k, vs in part.classes().items()}))
+    u, v = next((u, v) for u in range(g.n) for v in range(g.n)
+                if u != v and not g.has_arc(u, v))
+    pair = ["--pair", f"{u},{v}", "--cap", "2048"]
+    commands = [*(["check", "--condition", c] for c in cli._CHECKS),
+                ["profile"],
+                ["score-partition", "--partition", str(pfile), "--eta", "1/20"],
+                *(["absorbers", *pair, "--kind", k] for k in ("strong", "weak")),
+                ["absorbers", *pair, "--kind", "connector", "--k", "3"]]
+    emitted = []
+    real_emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda obj, out: (emitted.append(obj),
+                                                        real_emit(obj, out)))
+    out = tmp_path / "report.json"
+    for argv in commands:
+        main([argv[0], "--input", path, *argv[1:], "--out", str(out)])
+        assert out.read_text() == reference_dumps(emitted[-1]) + "\n"
+    assert len(emitted) == 10

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oriham import (
     EdgeListParseError,
+    GraphError,
     OrientedGraph,
     OutOfRangeError,
     SelfLoopError,
@@ -12,7 +15,8 @@ from oriham import (
     parse_edge_list,
     random_oriented,
 )
-from oriham import graph
+from oriham import fileio, graph
+from oriham.seeds import derive_seed
 
 
 def test_parse_cycle():
@@ -67,6 +71,98 @@ def test_parse_inserts_each_arc_once(monkeypatch):
     assert [g.in_bits(v) for v in range(g.n)] == [ref.in_bits(v) for v in range(ref.n)]
     with pytest.raises(OutOfRangeError):
         parse_edge_list(f"{graph.MAX_VERTICES + 1} 0\n")
+
+
+def test_parse_regular_file_skips_line_loop(monkeypatch):
+    """A well-formed file takes the vectorised path: the line loop, which
+    inserts every arc, never runs."""
+    ref = random_oriented(192, 0.4, 3)
+    inserts = []
+    real = fileio._insert_arc
+
+    def counted(*args):
+        inserts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fileio, "_insert_arc", counted)
+    g = parse_edge_list(emit_edge_list(ref))
+    assert inserts == []
+    assert g == ref and g.arc_count == ref.arc_count
+    assert [g.in_bits(v) for v in range(g.n)] == [ref.in_bits(v) for v in range(ref.n)]
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except (EdgeListParseError, GraphError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return g.n, g._out, g._in, g.arc_count
+
+
+def _mutants(text, rng):
+    """The file itself and irregular or invalid variants of it."""
+    lines = text.split("\n")[:-1]
+    arcs = lines[1:]
+
+    def with_line(i, row):
+        return "\n".join(lines[:i] + [row] + lines[i + 1:]) + "\n"
+
+    def appended(row, declared=1):
+        n, m = lines[0].split()
+        return "\n".join([f"{n} {int(m) + declared}", *arcs, row]) + "\n"
+
+    def retoken(fmt):
+        i = rng.randrange(len(lines))
+        u, v = lines[i].split()
+        return with_line(i, f"{fmt(u)} {v}" if rng.random() < 0.5 else f"{u} {fmt(v)}")
+
+    yield text
+    yield text.replace("\n", "\r\n")
+    yield text.replace(" ", "\t", 1 + rng.randrange(len(lines)))
+    yield text.replace(" ", "  ", 1 + rng.randrange(len(lines)))
+    yield text[:-1]
+    i = rng.randrange(len(lines) + 1)
+    yield "\n".join(lines[:i] + [""] + lines[i:]) + "\n"
+    yield retoken(lambda t: "+" + t)
+    yield retoken(lambda t: t[0] + "_" + t[1:] if len(t) > 1 else "0_" + t)
+    yield retoken(lambda t: "".join("\u0660\u0661\u0662\u0663\u0664\u0665\u0666"
+                                    "\u0667\u0668\u0669"[int(d)] for d in t))
+    yield retoken(lambda t: "00" + t)
+    yield retoken(lambda t: t + " 1")
+    i = rng.randrange(len(lines))
+    yield with_line(i, lines[i].split()[0])
+    yield with_line(i, " " + lines[i])
+    if arcs:
+        u, v = rng.choice(arcs).split()
+        yield appended(f"{u} {v}")
+        yield appended(f"{v} {u}")
+        yield appended(f"{u} {u}")
+        yield appended(f"{u} {int(lines[0].split()[0])}")
+        yield appended(f"{u} {v}\t{v}", declared=2)
+        yield "\n".join([lines[0], *arcs, f"{u} {v}"]) + "\n"
+
+
+def test_fast_path_matches_line_loop():
+    """On seeded files and their mutants the vectorised path returns the
+    loop's bitsets or defers, and parse_edge_list raises every error with
+    the loop's message and line number."""
+    taken = 0
+    files = 0
+    for i in range(250):
+        n = i % 13
+        rng = random.Random(derive_seed(0, "parse-diff", i))
+        text = emit_edge_list(random_oriented(n, rng.choice((0.2, 0.5, 0.9)), i))
+        assert fileio._parse_regular(text) is not None
+        for mutant in _mutants(text, rng):
+            files += 1
+            want = _outcome(fileio._parse_lines, mutant)
+            fast = fileio._parse_regular(mutant)
+            if fast is not None:
+                taken += 1
+                assert (fast.n, fast._out, fast._in, fast.arc_count) == want
+            assert _outcome(parse_edge_list, mutant) == want
+    assert files >= 4000
+    assert taken >= 1000
 
 
 def err(text):
