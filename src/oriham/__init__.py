@@ -25,24 +25,22 @@ from .extremal import (ExtremalityReport, ExtremalParams,
                        InfeasibleParamsError, PartitionNotCoveringError,
                        SIZE_ROUNDING_ALLOWANCE, bipartite_tournament,
                        feasible_a_values, find_extremal_partition,
-                       find_sharp_pair, generate_extremal, minimal_eta,
+                       find_sharp_pair, generate_extremal,
                        near_regular_tournament, sharp_bound, table_params,
                        verify_partition)
-from .absorption import (AbsorberFamily, AbsorbingPath, AbsorbParams,
-                         CapacityExhaustedError, ConnectivityProfile,
-                         DensePairReport, NoConnectorAvailableError,
-                         Reservoir, ReservoirParams, StitchFailureError,
-                         StrongGadget, VertexNotAbsorbableError, WeakGadget,
+from .absorption import (AbsorbingPath, CapacityExhaustedError,
+                         ConnectivityProfile, NoConnectorAvailableError,
+                         Reservoir, StitchFailureError, StrongGadget,
+                         VertexNotAbsorbableError, WeakGadget,
                          absorb_vertices, build_absorbing_path,
                          build_reservoir, connect_through_reservoir,
-                         connectivity_profile, count_connectors,
-                         count_dense_strong_pairs, count_strong_absorbers,
+                         connectivity_profile, count_strong_absorbers,
                          enumerate_connectors, enumerate_strong_absorbers,
                          enumerate_weak_absorbers, is_strongly_absorbable,
                          default_reservoir_size, default_strong_target,
-                         default_sampling_probability, select_disjoint_family)
-from .generators import random_min_semidegree, random_oriented, random_tournament
-from .hamilton import (CertificateError, CoverResult, HamiltonResult,
-                       PipelineParams, StageRecord, TooLargeError, exact_brute,
+                         select_disjoint_family)
+from .generators import random_min_semidegree, random_oriented
+from .hamilton import (PIPELINE_MAX_N, CertificateError, CoverResult,
+                       HamiltonResult, StageRecord, TooLargeError, exact_brute,
                        exact_dp, find_hamilton_absorption, greedy_path_cover)
 from .seeds import derive_seed, rng_for

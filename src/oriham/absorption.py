@@ -15,16 +15,21 @@ Three gadget layers, all defined by explicit arc patterns:
 
 On top of these sit vertex-disjoint family selection, a reservoir of
 connectors for stitching paths together, and absorbing paths whose gadget
-registry can swallow leftover vertices after a path cover.
+registry can swallow leftover vertices after a path cover.  Families are
+chosen by one deterministic rule, a round-robin sweep that keeps each
+candidate tuple disjoint from those kept before; the paper's random
+thinning is not run, since its keep probability is close to zero at every
+graph size the package accepts.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -114,12 +119,6 @@ def _connector_within(g: OrientedGraph, x: int, y: int,
         if inner is not None:
             return inner
     return None
-
-
-def count_connectors(g: OrientedGraph, u: int, v: int, k: int) -> int:
-    if k == 1:
-        return (g.out_bits(u) & g.in_bits(v) & ~mask_of((u, v))).bit_count()
-    return len(enumerate_connectors(g, u, v, k))
 
 
 @dataclass(frozen=True)
@@ -255,84 +254,19 @@ def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
     return found
 
 
-# -- density counting ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DensePairReport:
-    """Count of alpha-strongly-absorbable pairs across X x Y, next to the
-    density guarantee (beta^4/32 - alpha) * n^2 where beta = e(Y, X)/n^2."""
-
-    count: int
-    beta: Fraction
-    guaranteed: Fraction
-
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "beta": {"num": self.beta.numerator, "den": self.beta.denominator},
-            "guaranteed": {"num": self.guaranteed.numerator,
-                           "den": self.guaranteed.denominator},
-        }
-
-
-def count_dense_strong_pairs(g: OrientedGraph, xs: Iterable[int],
-                             ys: Iterable[int], alpha: Fraction) -> DensePairReport:
-    xs, ys = sorted(set(xs)), sorted(set(ys))
-    alpha = Fraction(alpha)
-    n = g.n
-    count = 0
-    for x in xs:
-        for y in ys:
-            if is_strongly_absorbable(g, x, y, alpha)[0]:
-                count += 1
-    beta = Fraction(g.count_arcs_between(ys, xs), n * n) if n else Fraction(0)
-    return DensePairReport(count, beta, (beta ** 4 / 32 - alpha) * n * n)
-
-
 # -- disjoint family selection ---------------------------------------------------
 
 
-def default_sampling_probability(sigma: Fraction, universe: int, t: int) -> Fraction:
-    """Reference shape for the tuple-sampling probability:
-    sigma / 2^7 / ((u-1)(u-2)...(u-t+1)).  Clamped to [0, 1]."""
-    sigma = Fraction(sigma)
-    denom = 1
-    for j in range(1, t):
-        denom *= (universe - j)
-    if denom <= 0:
-        return Fraction(1)
-    p = sigma / 128 / denom
-    return min(max(p, Fraction(0)), Fraction(1))
-
-
-@dataclass
-class AbsorberFamily:
-    """A pairwise vertex-disjoint set of gadget tuples with bookkeeping on
-    how many family members serve each requested pair."""
-
-    t: int
-    members: tuple[tuple[int, ...], ...]
-    vertices: frozenset[int]
-    per_pair: dict[Pair, int]
-    floor: int
-    below_floor: tuple[Pair, ...]
-    sample_p: float
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def _disjoint_sweep(lists: Iterable[Sequence[tuple[int, ...]]], limit: int | None,
-                    sample: Callable[[], bool] | None = None) -> list[tuple[int, ...]]:
+def _disjoint_sweep(lists: Iterable[Sequence[tuple[int, ...]]],
+                    limit: int | None) -> list[tuple[int, ...]]:
     """The family selection rule: walk the candidate lists round-robin by
-    rank, skip repeated tuples, and keep each tuple that ``sample()`` (if
-    given) accepts and that is disjoint from all kept before, until
-    ``limit`` are kept.  Rank 0 reads ``lists`` lazily, one list as the
-    walk reaches it, so an early stop leaves later lists unbuilt."""
+    rank and keep each tuple that is disjoint from all kept before, until
+    ``limit`` are kept.  A repeated tuple is never kept twice: its first
+    visit either kept it or met a kept vertex, and both block it again.
+    Rank 0 reads ``lists`` lazily, one list as the walk reaches it, so an
+    early stop leaves later lists unbuilt."""
     kept: list[tuple[int, ...]] = []
     used: set[int] = set()
-    seen: set[tuple[int, ...]] = set()
 
     def by_rank():
         read = []
@@ -343,62 +277,28 @@ def _disjoint_sweep(lists: Iterable[Sequence[tuple[int, ...]]], limit: int | Non
             yield from (tuples[rank] for tuples in read if rank < len(tuples))
 
     for tup in map(tuple, by_rank() if limit is None or limit > 0 else ()):
-        if tup not in seen:
-            seen.add(tup)
-            if (sample is None or sample()) and used.isdisjoint(tup):
-                kept.append(tup)
-                used.update(tup)
-                if len(kept) == limit:
-                    break
+        if used.isdisjoint(tup):
+            kept.append(tup)
+            used.update(tup)
+            if len(kept) == limit:
+                break
     return kept
 
 
 def select_disjoint_family(candidates: dict[Pair, Sequence[tuple[int, ...]]],
-                           t: int, sigma: Fraction, seed: int = 0, *,
-                           p: float | Fraction | None = None,
-                           floor: int | None = None,
-                           max_family: int | None = None,
-                           universe_size: int | None = None) -> AbsorberFamily:
-    """Thin a candidate pool to a pairwise vertex-disjoint family.
+                           limit: int | None) -> list[tuple[int, ...]]:
+    """A pairwise vertex-disjoint family of at most ``limit`` candidate
+    tuples, sorted.
 
-    Candidates are visited round-robin over pairs by candidate rank (so
-    every pair's best tuples get an early look), each retained
-    independently with probability ``p``, then swept once keeping a tuple
-    only when it is disjoint from everything kept before.  With the
-    default ``p = None`` the reference shape from
-    ``default_sampling_probability`` applies -- which is vanishingly small at
-    desk scale, so pipeline callers pass p explicitly (typically 1).
-
-    The per-pair floor (default max(1, floor(sigma^2/1024 * universe)))
-    is a target, not a guarantee: pairs left under it are reported in
-    ``below_floor``.
+    Pairs are taken in ascending order and their lists read round-robin by
+    rank, so every pair's first tuple gets a look before any pair's second;
+    a tuple is kept when it shares no vertex with those kept before.  The
+    paper first keeps each tuple with probability sigma / 2^7 divided by a
+    falling factorial of n, which is close to zero at every n a graph here
+    can have, so every tuple is offered.
     """
-    if t < 1:
-        raise ValueError("tuple arity must be positive")
-    vertex_pool: set[int] = set()
-    for pair, tuples in candidates.items():
-        vertex_pool.update(pair)
-        for tup in tuples:
-            if len(tup) != t or len(set(tup)) != t:
-                raise ValueError(f"candidate {tup} is not a {t}-tuple of distinct vertices")
-            vertex_pool.update(tup)
-    universe = universe_size if universe_size is not None else len(vertex_pool)
-    if p is None:
-        p = default_sampling_probability(sigma, universe, t)
-    p = float(p)
-    if floor is None:
-        floor = max(1, int(Fraction(sigma) ** 2 / 1024 * universe))
-
-    rng = random.Random(derive_seed(seed, "family", t))
-    kept = _disjoint_sweep((candidates[pair] for pair in sorted(candidates)),
-                           max_family, None if p >= 1.0 else lambda: rng.random() < p)
-
-    member_set = set(kept)
-    per_pair = {pair: sum(1 for tup in set(map(tuple, tuples)) if tup in member_set)
-                for pair, tuples in candidates.items()}
-    below = tuple(sorted(pair for pair, c in per_pair.items() if c < floor))
-    return AbsorberFamily(t, tuple(sorted(kept)), frozenset().union(*kept),
-                          per_pair, floor, below, p)
+    return sorted(_disjoint_sweep((candidates[pair] for pair in sorted(candidates)),
+                                  limit))
 
 
 # -- reservoir -------------------------------------------------------------------
@@ -407,14 +307,6 @@ def select_disjoint_family(candidates: dict[Pair, Sequence[tuple[int, ...]]],
 # connectors kept per pair for the reservoir's family selection (eight
 # times as many are enumerated before the avoid/prefer filters)
 RESERVOIR_PER_PAIR_CAP = 8
-
-
-@dataclass
-class ReservoirParams:
-    target_size: int | None = None   # vertex budget for the reservoir
-    # when nonempty, reservoir vertices are drawn only from this set (the
-    # pipeline passes the absorbable ones, so unused leftovers stay safe)
-    prefer: frozenset[int] | None = None
 
 
 @dataclass
@@ -436,24 +328,28 @@ def default_reservoir_size(n: int) -> int:
     return max(3, min(6, n // 10))
 
 
-def build_reservoir(g: OrientedGraph, avoid: Iterable[int],
-                    params: ReservoirParams | None = None) -> Reservoir:
+def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
+                    target_size: int | None = None,
+                    prefer: frozenset[int] | None = None) -> Reservoir:
     """Choose a small vertex set R, staged over k = 1, 2, 3, so that
     ordered non-adjacent pairs outside R can be joined through it.
+
+    ``target_size`` is the vertex budget (default
+    ``default_reservoir_size(n)``).  When ``prefer`` is nonempty, R is
+    drawn only from it; the pipeline passes the vertices its absorbing
+    path can absorb, so reservoir vertices left unused stay absorbable.
 
     Stage k walks the non-arc pairs (u, v) outside ``avoid`` and earlier
     stages, ascending, that no earlier stage covers.  A pair's candidates
     are the first RESERVOIR_PER_PAIR_CAP of its first eight times as many
     k-connectors that avoid those vertices (and lie in a nonempty
-    params.prefer); ``_disjoint_sweep`` keeps (budget - |R|) // k of them.
+    ``prefer``); ``_disjoint_sweep`` keeps (budget - |R|) // k of them.
     The walk enumerates a pair's connectors only when it reaches the pair
     and stops once that room is full, within the first few pairs of a
     dense graph; a stage that leaves room for the next was walked in full.
     """
-    params = params or ReservoirParams()
-    budget = (params.target_size if params.target_size is not None
-              else default_reservoir_size(g.n))
-    outside = g.full_mask() & ~mask_of(params.prefer) if params.prefer else 0
+    budget = target_size if target_size is not None else default_reservoir_size(g.n)
+    outside = g.full_mask() & ~mask_of(prefer) if prefer else 0
     avoid_mask = mask_of(avoid)
     chosen: set[int] = set()
     covered: set[Pair] = set()
@@ -599,37 +495,34 @@ ABSORB_PER_PAIR_CAP = 12
 WEAK_BUDGET = 100_000
 
 
-@dataclass
-class AbsorbParams:
-    strong_target: int | None = None  # strong-family size; default scales with n
-    max_vertices: int | None = None
-
-
 def default_strong_target(n: int) -> int:
     return max(4, min(14, n // 5))
 
 
-def build_absorbing_path(g: OrientedGraph, params: AbsorbParams | None = None,
+def build_absorbing_path(g: OrientedGraph, *, strong_target: int | None = None,
                          seed: int = 0) -> AbsorbingPath:
     """Classify vertices by absorbability, select disjoint gadget families
-    (weak first, then strong from what remains), and stitch the gadgets
+    (weak first, then at most ``strong_target`` strong ones from what
+    remains, default ``default_strong_target(n)``), and stitch the gadgets
     into one directed path.
+
+    A vertex is strongly absorbable when ``is_strongly_absorbable`` says so
+    at ALPHA1, and weakly absorbable when it has at least ALPHA2 * n^4 weak
+    absorbers among those the enumeration budget reaches.
 
     Vertices with neither gadget type are reported in ``gaps`` rather than
     raised: tiny or sparse graphs legitimately have none, and callers can
     still proceed with a degenerate (possibly empty) absorbing path.
     Gadgets whose stitching finds no connector are dropped and counted.
     """
-    params = params or AbsorbParams()
     n = g.n
-    ts = max(1, int(ALPHA1 * n * n))
-    tw = max(1, int(ALPHA2 * n ** 4))
+    tw = max(1, math.ceil(ALPHA2 * n ** 4))
 
     strong_ok: list[int] = []
     weak_only: list[int] = []
     gaps: list[int] = []
     for v in range(n):
-        if count_strong_absorbers(g, v, v) >= ts:
+        if is_strongly_absorbable(g, v, v, ALPHA1)[0]:
             strong_ok.append(v)
         elif len(enumerate_weak_absorbers(g, v, v, ALPHA1, cap=tw,
                                           budget=WEAK_BUDGET)) >= tw:
@@ -642,13 +535,11 @@ def build_absorbing_path(g: OrientedGraph, params: AbsorbParams | None = None,
                                          budget=WEAK_BUDGET)
         for v in weak_only
     }
-    f_weak = select_disjoint_family(weak_candidates, 4, ALPHA2,
-                                    derive_seed(seed, "weak-family"),
-                                    p=1, max_family=WEAK_TARGET)
+    f_weak = select_disjoint_family(weak_candidates, WEAK_TARGET)
 
-    strong_target = (params.strong_target if params.strong_target is not None
-                     else default_strong_target(n))
-    taken = f_weak.vertices
+    if strong_target is None:
+        strong_target = default_strong_target(n)
+    taken = {w for tup in f_weak for w in tup}
     # shuffle each pool before capping: the lexicographic enumeration piles
     # onto low-numbered vertices, which starves the disjointness sweep
     pool_rng = random.Random(derive_seed(seed, "strong-pool"))
@@ -659,20 +550,16 @@ def build_absorbing_path(g: OrientedGraph, params: AbsorbParams | None = None,
                 if taken.isdisjoint(tup)]
         pool_rng.shuffle(opts)
         strong_candidates[(v, v)] = opts[:ABSORB_PER_PAIR_CAP]
-    f_strong = select_disjoint_family(strong_candidates, 2, ALPHA1,
-                                      derive_seed(seed, "strong-family"),
-                                      p=1, max_family=strong_target)
+    f_strong = select_disjoint_family(strong_candidates, strong_target)
 
     # Stitch weak units first, then strong, chaining with free connectors.
     units: list[tuple[str, tuple[int, ...]]] = (
-        [("weak", tup) for tup in f_weak.members]
-        + [("strong", tup) for tup in f_strong.members])
-    reserved = set(f_weak.vertices) | set(f_strong.vertices)
+        [("weak", tup) for tup in f_weak] + [("strong", tup) for tup in f_strong])
+    reserved = taken | {w for tup in f_strong for w in tup}
     path: list[int] = []
     strong_gadgets: list[StrongGadget] = []
     weak_gadgets: list[WeakGadget] = []
     dropped = 0
-    budget = params.max_vertices
 
     for kind, tup in units:
         free_pool = mask_of(set(range(n)) - reserved - set(path))
@@ -687,19 +574,13 @@ def build_absorbing_path(g: OrientedGraph, params: AbsorbParams | None = None,
         else:
             segment = list(tup)
         free_pool &= ~mask_of(segment)
-        link: tuple[int, ...] = ()
         if path:
             hop = _connector_within(g, path[-1], segment[0], free_pool)
             if hop is None:
                 dropped += 1
                 reserved.difference_update(tup)
                 continue
-            link = hop
-        if budget is not None and len(path) + len(link) + len(segment) > budget:
-            dropped += 1
-            reserved.difference_update(tup)
-            continue
-        path.extend(link)
+            path.extend(hop)
         path.extend(segment)
         if kind == "weak":
             weak_gadgets.append(WeakGadget(*tup))

@@ -184,7 +184,7 @@ def _load_graph(path: str) -> OrientedGraph:
         raise UsageError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not a text file ({exc})")
-    except EdgeListParseError as exc:
+    except (EdgeListParseError, GraphError) as exc:
         raise UsageError(f"{path}: {exc}")
 
 
@@ -365,15 +365,25 @@ def _sweep_robustness(entry: dict, seed: int) -> dict:
             "seeds": rounds, "hamiltonian_found": found, "ok": found == 0}
 
 
+def _sizes(entry: dict, n_min: int, n_max: int) -> range:
+    """The entry's vertex counts n_min..n_max (defaults as given); instance
+    seed ``inst`` draws ``sizes[inst % len(sizes)]``."""
+    n_min = int(entry.get("n_min", n_min))
+    n_max = int(entry.get("n_max", n_max))
+    if not 0 <= n_min <= n_max:
+        raise ValueError(f"size range n_min = {n_min}, n_max = {n_max} "
+                         "is empty or negative")
+    return range(n_min, n_max + 1)
+
+
 def _sweep_oracle(entry: dict, seed: int) -> dict:
     count = int(entry.get("count", 50))
-    n_min = int(entry.get("n_min", 5))
-    n_max = int(entry.get("n_max", 9))
+    sizes = _sizes(entry, 5, 9)
     prob = float(Fraction(str(entry.get("arc_prob", "1/2"))))
     disagreements = 0
     for i in range(count):
         inst = derive_seed(seed, "oracle", i)
-        n = n_min + inst % (n_max - n_min + 1)
+        n = sizes[inst % len(sizes)]
         g = random_oriented(n, prob, inst)
         if exact_brute(g).verdict != exact_dp(g).verdict:
             disagreements += 1
@@ -383,13 +393,12 @@ def _sweep_oracle(entry: dict, seed: int) -> dict:
 
 def _sweep_pipeline(entry: dict, seed: int) -> dict:
     count = int(entry.get("count", 20))
-    n_min = int(entry.get("n_min", 24))
-    n_max = int(entry.get("n_max", 64))
+    sizes = _sizes(entry, 24, 64)
     min_rate = Fraction(str(entry.get("min_rate", "9/10")))
     successes = 0
     for i in range(count):
         inst = derive_seed(seed, "pipeline", i)
-        n = n_min + inst % (n_max - n_min + 1)
+        n = sizes[inst % len(sizes)]
         g = random_min_semidegree(n, math.ceil(3 * n / 8), inst)
         if find_hamilton_absorption(g, seed=inst).found:
             successes += 1

@@ -317,26 +317,6 @@ def verify_partition(g: OrientedGraph, part: Partition4, eta: Fraction,
                              all(s >= 0 for s in slacks.values()))
 
 
-def minimal_eta(g: OrientedGraph, part: Partition4,
-                c_eta: Fraction = Fraction(1)) -> Fraction | None:
-    """Smallest eta at which verify_partition would accept, or None if no
-    eta works (possible only when c_eta = 0 leaves a negative slack)."""
-    if not part.covers(g):
-        raise PartitionNotCoveringError("partition must cover V(G) exactly")
-    c_eta = Fraction(c_eta)
-    base = _partition_slacks(g, part, Fraction(0), c_eta)
-    n = g.n
-    need = Fraction(0)
-    for name, slack in base.items():
-        if slack >= 0:
-            continue
-        rate = c_eta * n if name.startswith("size_") else c_eta * n * n
-        if rate == 0:
-            return None
-        need = max(need, -slack / rate)
-    return need
-
-
 def find_extremal_partition(g: OrientedGraph, eta: Fraction,
                             c_eta: Fraction = Fraction(1), seed: int = 0
                             ) -> tuple[Partition4, ExtremalityReport] | None:

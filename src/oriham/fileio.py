@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import (MAX_VERTICES, GraphError, OrientedGraph, _insert_arc,
-                    _rows_to_bits)
+from .graph import (MAX_VERTICES, GraphError, OrientedGraph, _check_order,
+                    _insert_arc, _rows_to_bits)
 
 
 class EdgeListParseError(ValueError):
@@ -94,6 +94,7 @@ def _parse_lines(text: str) -> OrientedGraph:
         raise EdgeListParseError(1, f"non-integer header {lines[0]!r}") from None
     if n < 0 or declared < 0:
         raise EdgeListParseError(1, "negative header value")
+    _check_order(n)  # before the adjacency lists are allocated
 
     out = [0] * n
     inn = [0] * n

@@ -19,10 +19,6 @@ def random_oriented(n: int, arc_prob: float, seed: int) -> OrientedGraph:
     return OrientedGraph(n, arcs)
 
 
-def random_tournament(n: int, seed: int) -> OrientedGraph:
-    return random_oriented(n, 1.0, seed)
-
-
 def random_min_semidegree(n: int, bound: int, seed: int,
                           flips: int | None = None) -> OrientedGraph:
     """Random-looking tournament with min semidegree kept >= ``bound``.

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .absorption import (AbsorbingPath, CapacityExhaustedError,
-                         NoConnectorAvailableError, Reservoir, ReservoirParams,
+                         NoConnectorAvailableError, Reservoir,
                          StitchFailureError, VertexNotAbsorbableError,
                          absorb_vertices, build_absorbing_path, build_reservoir,
                          connect_through_reservoir)
@@ -254,21 +254,16 @@ def _pick_bit(mask: int, rng) -> int:
 # Pipeline constants: the cover keeps at most MAX_PATHS paths and its first
 # build takes the best of COVER_RESTARTS seeded attempts; stitching is tried
 # STITCH_ATTEMPTS times; at most LEFTOVER_RATIO * |absorbing path| leftovers
-# are handed to the absorb stage.
+# are handed to the absorb stage.  Graphs above PIPELINE_MAX_N vertices
+# are refused.
 MAX_PATHS = 12
 COVER_RESTARTS = 8
 STITCH_ATTEMPTS = 12
 LEFTOVER_RATIO = Fraction(1, 4)
+PIPELINE_MAX_N = 512
 
 
-@dataclass
-class PipelineParams:
-    max_n: int = 512
-
-
-def find_hamilton_absorption(g: OrientedGraph,
-                             params: PipelineParams | None = None,
-                             seed: int = 0) -> HamiltonResult:
+def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
     """Heuristic Hamilton-cycle search by absorption.
 
     Stages: build an absorbing path, reserve connectors, cover the rest
@@ -277,9 +272,8 @@ def find_hamilton_absorption(g: OrientedGraph,
     absorbing path, then verify.  A failure reports the first failing
     stage in the trace; the verdict is never "none_exists".
     """
-    params = params or PipelineParams()
-    if g.n > params.max_n:
-        raise TooLargeError(f"n = {g.n} exceeds pipeline cap {params.max_n}")
+    if g.n > PIPELINE_MAX_N:
+        raise TooLargeError(f"n = {g.n} exceeds pipeline cap {PIPELINE_MAX_N}")
     trace: list[StageRecord] = []
 
     def fail(stage: str, detail: dict) -> HamiltonResult:
@@ -310,7 +304,7 @@ def find_hamilton_absorption(g: OrientedGraph,
         v for v in range(g.n)
         if v not in p_abs.vertex_set()
         and any(p_abs.strong[i].serves(g, v, v) for i in p_abs.free_strong()))
-    res = build_reservoir(g, p_abs.vertex_set(), ReservoirParams(prefer=servable))
+    res = build_reservoir(g, p_abs.vertex_set(), prefer=servable)
     trace.append(StageRecord("reservoir", True, {
         "vertices": len(res.vertices),
         "servable_share": len(res.vertices & servable),

@@ -5,12 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oriham import (
-    AbsorbParams,
     AbsorbingPath,
     CapacityExhaustedError,
     NoConnectorAvailableError,
     OrientedGraph,
-    ReservoirParams,
     SelfLoopError,
     StitchFailureError,
     StrongGadget,
@@ -22,8 +20,6 @@ from oriham import (
     build_reservoir,
     connect_through_reservoir,
     connectivity_profile,
-    count_connectors,
-    count_dense_strong_pairs,
     count_strong_absorbers,
     default_reservoir_size,
     default_strong_target,
@@ -32,7 +28,6 @@ from oriham import (
     enumerate_weak_absorbers,
     generate_extremal,
     is_strongly_absorbable,
-    default_sampling_probability,
     random_min_semidegree,
     random_oriented,
     select_disjoint_family,
@@ -62,7 +57,6 @@ def test_connectors_fan():
     assert enumerate_connectors(FAN, 0, 4, 1) == [(1,), (2,), (3,)]
     assert enumerate_connectors(FAN, 0, 4, 1, cap=2) == [(1,), (2,)]
     assert enumerate_connectors(FAN, 0, 4, 2) == []
-    assert count_connectors(FAN, 0, 4, 1) == 3
 
 
 def test_connectors_chain():
@@ -96,7 +90,6 @@ def test_connectors_match_oracle(seed):
     for k in (1, 2, 3):
         got = enumerate_connectors(g, u, v, k)
         assert got == _oracles.connectors_oracle(g, u, v, k)
-        assert count_connectors(g, u, v, k) == len(got)
         for tup in got:
             seq = (u,) + tup + (v,)
             assert all(g.has_arc(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
@@ -236,101 +229,45 @@ def test_weak_absorbers_match_oracle(seed):
             == _oracles.weak_absorbers_oracle(g, u, v, a1))
 
 
-def test_dense_pairs_bipartite():
-    x = {0, 1, 2}
-    y = {3, 4, 5}
-    g = OrientedGraph(6, [(b, a) for b in y for a in x])
-    rep = count_dense_strong_pairs(g, x, y, Fraction(1, 36))
-    assert rep.count == 9
-    assert rep.beta == Fraction(1, 4)
-    assert rep.guaranteed == Fraction(-2039, 2048)
-    assert rep.count >= rep.guaranteed
-
-
-def test_dense_pairs_empty():
-    rep = count_dense_strong_pairs(C3, set(), set(), Fraction(1, 9))
-    assert rep.count == 0
-    assert rep.beta == 0
-
-
-def test_dense_pairs_extremal_blocks():
-    g, part = generate_extremal(table_params(12, 0))
-    rep = count_dense_strong_pairs(g, part.B, part.D, Fraction(1, 144))
-    assert rep.count >= rep.guaranteed
-
-
-def test_sampling_probability():
-    assert default_sampling_probability(Fraction(1, 2), 10, 1) == Fraction(1, 256)
-    assert default_sampling_probability(Fraction(1, 2), 10, 2) == Fraction(1, 2304)
-    assert default_sampling_probability(Fraction(1, 2), 1, 2) == 1
-    assert default_sampling_probability(Fraction(64), 10, 1) == Fraction(1, 2)
-    assert default_sampling_probability(Fraction(512), 10, 1) == 1
-
-
 # -- families --------------------------------------------------------------------
 
 
 def test_family_disjoint_candidates_all_kept():
     cand = {(100 + i, 200 + i): [(i,)] for i in range(10)}
-    fam = select_disjoint_family(cand, 1, Fraction(1, 2), 0, p=1)
-    assert len(fam) == 10
-    assert fam.floor == 1
-    assert fam.below_floor == ()
-    assert fam.vertices == frozenset(range(10))
+    assert select_disjoint_family(cand, None) == [(i,) for i in range(10)]
 
 
 def test_family_shared_vertex_collapses():
     star = {(10, 11): [(0,)], (12, 13): [(0,)], (14, 15): [(0,)]}
-    fam = select_disjoint_family(star, 1, Fraction(1, 2), 0, p=1)
-    assert fam.members == ((0,),)
-    assert fam.per_pair == {(10, 11): 1, (12, 13): 1, (14, 15): 1}
-
-
-def test_family_floor_reporting():
-    cand = {(100 + i, 200 + i): [(i,)] for i in range(10)}
-    fam = select_disjoint_family(cand, 1, Fraction(1, 2), 0, p=1, floor=2)
-    assert fam.below_floor == tuple(sorted(cand))
-
-
-def test_family_p_zero_keeps_nothing():
-    cand = {(100 + i, 200 + i): [(i,)] for i in range(10)}
-    fam = select_disjoint_family(cand, 1, Fraction(1, 2), 0, p=0)
-    assert fam.members == ()
-    assert len(fam.below_floor) == 10
+    assert select_disjoint_family(star, None) == [(0,)]
 
 
 def test_family_max_size():
     cand = {(100 + i, 200 + i): [(i,)] for i in range(10)}
-    fam = select_disjoint_family(cand, 1, Fraction(1, 2), 0, p=1, max_family=4)
-    assert len(fam) == 4
+    assert select_disjoint_family(cand, 4) == [(0,), (1,), (2,), (3,)]
+    assert select_disjoint_family(cand, 0) == []
 
 
-def test_family_arity_checked():
-    with pytest.raises(ValueError):
-        select_disjoint_family({(9, 8): [(1, 2)]}, 1, Fraction(1, 2), 0, p=1)
-    with pytest.raises(ValueError):
-        select_disjoint_family({(9, 8): [(1, 1)]}, 2, Fraction(1, 2), 0, p=1)
-    with pytest.raises(ValueError):
-        select_disjoint_family({}, 0, Fraction(1, 2), 0, p=1)
+def test_family_order():
+    # pairs are read in sorted order, not insertion order
+    cand = {(9, 8): [(0, 1), (6, 7)], (7, 6): [(1, 2), (3, 4)]}
+    assert select_disjoint_family(cand, None) == [(1, 2), (3, 4), (6, 7)]
+    # each pair's first tuple is offered before any pair's second, and the
+    # family comes back sorted
+    cand = {(7, 6): [(4, 5), (2, 3)], (9, 8): [(0, 1), (6, 7)]}
+    assert select_disjoint_family(cand, 2) == [(0, 1), (4, 5)]
 
 
 def test_family_members_pairwise_disjoint():
     g, part = generate_extremal(table_params(13, 1))
     pairs = [(b, d) for b in sorted(part.B)[:2] for d in sorted(part.D)[:2]]
     cand = {pr: enumerate_strong_absorbers(g, *pr, cap=20) for pr in pairs}
-    fam = select_disjoint_family(cand, 2, Fraction(1, 4), 3, p=1)
+    fam = select_disjoint_family(cand, None)
+    assert fam
     used = set()
-    for tup in fam.members:
+    for tup in fam:
         assert used.isdisjoint(tup)
         used.update(tup)
-    assert fam.vertices == used
-
-
-def test_family_deterministic():
-    cand = {(100 + i, 200 + i): [(i,), (i + 50,)] for i in range(8)}
-    a = select_disjoint_family(cand, 1, Fraction(1, 2), 4, p=0.5)
-    b = select_disjoint_family(cand, 1, Fraction(1, 2), 4, p=0.5)
-    assert a == b
 
 
 # -- reservoir -------------------------------------------------------------------
@@ -371,7 +308,7 @@ def test_reservoir_transitive_tournament_empty():
 
 def test_reservoir_prefer_is_hard_restriction():
     g = cycle_graph(6)
-    res = build_reservoir(g, (), ReservoirParams(prefer=frozenset({1, 2})))
+    res = build_reservoir(g, (), prefer=frozenset({1, 2}))
     assert res.vertices == frozenset({1, 2})
 
 
@@ -497,9 +434,9 @@ def _covered_graph():
 def test_reservoir_stage_two_rules():
     # candidates are cut at 64 before the filters, and covered pairs are
     # not walked again; either mistake would add a 2-connector
-    res = build_reservoir(_cap_graph(), (), ReservoirParams(target_size=18))
+    res = build_reservoir(_cap_graph(), (), target_size=18)
     assert res.vertices == frozenset(range(16))
-    res = build_reservoir(_covered_graph(), (), ReservoirParams(target_size=11))
+    res = build_reservoir(_covered_graph(), (), target_size=11)
     assert res.vertices == frozenset(range(8))
 
 
@@ -532,7 +469,7 @@ def test_reservoir_matches_eager_oracle(monkeypatch, dense192):
         prefer = (frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
                   if variant & 2 else None)
         want = _oracles.reservoir_oracle(g, avoid, target, prefer, stats)
-        got = build_reservoir(g, avoid, ReservoirParams(target, prefer))
+        got = build_reservoir(g, avoid, target_size=target, prefer=prefer)
         assert got.vertices == want, (g.n, variant, target)
     assert stats["stages"] == walked_k == {1, 2, 3}
     assert stats["cut_by_cap"] > 0
@@ -561,7 +498,7 @@ def test_reservoir_serves_sampled_pairs():
     # dense instance: a small reservoir bridges sampled non-adjacent pairs
     # even after one vertex has already been consumed
     g = random_min_semidegree(40, 15, 7)
-    res = build_reservoir(g, (), ReservoirParams(target_size=8))
+    res = build_reservoir(g, (), target_size=8)
     assert len(res.vertices) == 8
     outside = [v for v in range(40) if v not in res.vertices]
     rng = rng_for(7, "pairs")
@@ -597,7 +534,7 @@ def test_gadget_serves():
 
 
 def test_build_minimal_path():
-    P = build_absorbing_path(STRONG3, AbsorbParams(strong_target=4))
+    P = build_absorbing_path(STRONG3, strong_target=4)
     assert P.path == (1, 2)
     assert P.strong == (StrongGadget(1, 2),)
     assert P.weak == ()
@@ -607,7 +544,7 @@ def test_build_minimal_path():
 
 
 def test_build_no_gadgets_no_path():
-    P = build_absorbing_path(C3, AbsorbParams(strong_target=4))
+    P = build_absorbing_path(C3, strong_target=4)
     assert P.path == ()
     assert P.strong == ()
     assert P.gaps == (0, 1, 2)
@@ -616,7 +553,7 @@ def test_build_no_gadgets_no_path():
 
 def test_build_dense_instance():
     g = random_min_semidegree(60, 23, 11)
-    P = build_absorbing_path(g, AbsorbParams(strong_target=16), seed=11)
+    P = build_absorbing_path(g, strong_target=16, seed=11)
     P.validate(g)
     assert len(P.path) == 42
     assert len(P.strong) == 15
@@ -632,14 +569,14 @@ def test_build_dense_instance():
         used.update(tup)
 
 
-def test_build_respects_vertex_cap():
-    g = random_min_semidegree(60, 23, 11)
-    P = build_absorbing_path(
-        g, AbsorbParams(strong_target=16, max_vertices=30), seed=11)
-    assert len(P.path) == 30
-    assert P.dropped == 4
-    assert P.capacity() == 11
-    P.validate(g)
+def test_build_classifies_with_strong_absorbability_threshold():
+    # alpha1 * n^2 = 2.44 at n = 100, and vertex 0 has only 2 strong
+    # absorbers, so it is not strongly absorbable and gets no gadget
+    g = OrientedGraph(100, [(1, 0), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert is_strongly_absorbable(g, 0, 0, absorption.ALPHA1) == (False, 2)
+    P = build_absorbing_path(g)
+    assert P.path == ()
+    assert P.gaps == tuple(range(100))
 
 
 def test_default_strong_target():
@@ -655,12 +592,12 @@ def test_validate_catches_broken_registry():
 
 
 def test_absorb_nothing_is_identity():
-    P = build_absorbing_path(STRONG3, AbsorbParams(strong_target=4))
+    P = build_absorbing_path(STRONG3, strong_target=4)
     assert absorb_vertices(STRONG3, P, []) is P
 
 
 def test_absorb_single_vertex():
-    P = build_absorbing_path(STRONG3, AbsorbParams(strong_target=4))
+    P = build_absorbing_path(STRONG3, strong_target=4)
     P2 = absorb_vertices(STRONG3, P, [0])
     assert P2.path == (1, 0, 2)
     assert P2.used_strong == frozenset({0})
@@ -684,7 +621,7 @@ def test_absorb_double_step():
 
 def test_absorb_capacity_exhausted():
     g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2), (1, 3), (3, 2)])
-    P = build_absorbing_path(g, AbsorbParams(strong_target=4))
+    P = build_absorbing_path(g, strong_target=4)
     assert P.capacity() == 1
     with pytest.raises(CapacityExhaustedError) as ei:
         absorb_vertices(g, P, [0, 3])
@@ -693,7 +630,7 @@ def test_absorb_capacity_exhausted():
 
 def test_absorb_unservable_vertex():
     g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2)])
-    P = build_absorbing_path(g, AbsorbParams(strong_target=4))
+    P = build_absorbing_path(g, strong_target=4)
     with pytest.raises(VertexNotAbsorbableError) as ei:
         absorb_vertices(g, P, [3])
     assert ei.value.vertex == 3
@@ -701,6 +638,6 @@ def test_absorb_unservable_vertex():
 
 def test_absorb_rejects_path_vertices():
     g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2)])
-    P = build_absorbing_path(g, AbsorbParams(strong_target=4))
+    P = build_absorbing_path(g, strong_target=4)
     with pytest.raises(ValueError):
         absorb_vertices(g, P, [1])

@@ -7,7 +7,6 @@ import time
 from fractions import Fraction
 
 from oriham import (
-    AbsorbParams,
     DiPath,
     OrientedGraph,
     Partition4,
@@ -175,7 +174,7 @@ def test_criterion_6_absorb_rewrite_contract():
         n = 18 + (i * 7) % 23
         g = random_min_semidegree(n, -(-3 * n // 8), s)
         P = build_absorbing_path(
-            g, AbsorbParams(strong_target=default_strong_target(n)), seed=s)
+            g, strong_target=default_strong_target(n), seed=s)
         P.validate(g)
         outside = [v for v in range(n) if v not in P.vertex_set()]
         want = 1 + i % 6

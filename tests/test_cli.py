@@ -135,6 +135,16 @@ def test_check_binary_input_is_usage_error(tmp_path, capsys):
     assert f"{path}: not a text file" in err
 
 
+@pytest.mark.parametrize("header", ["5000 0", "10000000000 0"])
+def test_check_oversized_header_is_usage_error(tmp_path, capsys, header):
+    # the order is checked before any per-vertex list is allocated
+    path = tmp_path / "big.edges"
+    path.write_text(header + "\n")
+    rc, _, err = run(capsys, ["check", "--condition", "ore", "--input", str(path)])
+    assert rc == 2
+    assert f"{path}: vertex count" in err
+
+
 def test_score_partition_binary_file_is_usage_error(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(4))
     pfile = tmp_path / "part.bin"
@@ -346,6 +356,21 @@ def test_sweep_partial_failure(tmp_path, capsys):
     assert "error" in rows[0]
     assert rows[1]["ok"] is True
     assert json.loads(out)["failures"] == 1
+
+
+@pytest.mark.parametrize("kind", ["oracle", "pipeline"])
+def test_sweep_rejects_bad_size_range(tmp_path, capsys, kind):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([
+        {"kind": kind, "count": 2, "n_min": 9, "n_max": 8},
+        {"kind": kind, "count": 2, "n_min": 9, "n_max": 5},
+        {"kind": kind, "count": 2, "n_min": -1, "n_max": -1},
+    ]))
+    rc, out, _ = run(capsys, ["sweep", "--spec", str(spec)])
+    assert rc == 3
+    rows = json.loads(out)["rows"]
+    assert [r["ok"] for r in rows] == [False, False, False]
+    assert all(r["error"].startswith("ValueError: size range") for r in rows)
 
 
 def test_sweep_unknown_kind(tmp_path, capsys):

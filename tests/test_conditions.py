@@ -20,7 +20,6 @@ from oriham import (
     non_arc_pairs,
     ore_threshold,
     random_oriented,
-    random_tournament,
     table_params,
 )
 from oriham.seeds import derive_seed
@@ -284,7 +283,7 @@ def test_sparse_bound_on_sampled_instances():
         if i % 3 == 0:
             g = random_oriented(n, 0.85, s)
         elif i % 3 == 1:
-            g = random_tournament(n, s)
+            g = random_oriented(n, 1.0, s)
         else:
             g = near_regular_tournament(n, s)
         if not check_ore(g).satisfied:

@@ -17,10 +17,8 @@ from oriham import (
     find_extremal_partition,
     find_sharp_pair,
     generate_extremal,
-    minimal_eta,
     near_regular_tournament,
     random_oriented,
-    random_tournament,
     sharp_bound,
     table_params,
     verify_partition,
@@ -285,25 +283,6 @@ def test_report_serializes():
     assert d["slacks"]["e_AC"] == {"num": 36, "den": 25}
 
 
-def test_minimal_eta_clean_instance():
-    g, part = generate_extremal(table_params(12, 0))
-    assert minimal_eta(g, part) == 0
-
-
-def test_minimal_eta_with_extras():
-    g, part = generate_extremal(table_params(12, 2, ac_extra=5))
-    eta = minimal_eta(g, part)
-    assert eta == Fraction(5, 144)
-    assert verify_partition(g, part, eta).verdict
-    assert not verify_partition(g, part, eta - Fraction(1, 10000)).verdict
-
-
-def test_minimal_eta_requires_cover():
-    g, _ = generate_extremal(table_params(12, 0))
-    with pytest.raises(PartitionNotCoveringError):
-        minimal_eta(g, part=Partition4.of([0], [1], [2], [3]))
-
-
 def test_slacks_monotone_in_eta():
     g, part = generate_extremal(table_params(12, 2, ac_extra=5, d_extra=3))
     lo = verify_partition(g, part, Fraction(1, 100)).slacks
@@ -328,7 +307,7 @@ def test_find_partition_rejects_plain_cycle():
 
 
 def test_find_partition_rejects_random_tournament():
-    g = random_tournament(12, 3)
+    g = random_oriented(12, 1.0, 3)
     found = find_extremal_partition(g, Fraction(1, 100))
     assert found is None or not found[1].verdict
 

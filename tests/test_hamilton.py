@@ -12,7 +12,7 @@ from oriham import (
     DiCycle,
     HamiltonResult,
     OrientedGraph,
-    PipelineParams,
+    PIPELINE_MAX_N,
     SelfLoopError,
     StageRecord,
     TooLargeError,
@@ -179,7 +179,7 @@ check("stitch repeat", lambda: hamilton._attempt_stitch(
     CertificateError)
 # a stitched sequence that does not open with the absorbing path
 hamilton.build_absorbing_path = lambda *args, **kwargs: AbsorbingPath((0, 1))
-hamilton.build_reservoir = lambda *args: Reservoir(frozenset())
+hamilton.build_reservoir = lambda *args, **kwargs: Reservoir(frozenset())
 hamilton.greedy_path_cover = lambda *args: CoverResult(
     (DiPath((2,)),), frozenset({3}), 2, False)
 hamilton._attempt_stitch = lambda *args, **kwargs: ([1, 0, 2], frozenset())
@@ -296,7 +296,7 @@ def test_pipeline_defaults():
     assert hamilton.COVER_RESTARTS == 8
     assert hamilton.STITCH_ATTEMPTS == 12
     assert hamilton.LEFTOVER_RATIO == Fraction(1, 4)
-    assert PipelineParams().max_n == 512
+    assert PIPELINE_MAX_N == 512
 
 
 def test_pipeline_finds_plain_cycle():
@@ -331,7 +331,7 @@ def test_pipeline_never_claims_nonexistence():
 
 def test_pipeline_size_cap():
     with pytest.raises(TooLargeError):
-        find_hamilton_absorption(cycle_graph(12), PipelineParams(max_n=10))
+        find_hamilton_absorption(OrientedGraph.empty(PIPELINE_MAX_N + 1))
 
 
 def test_pipeline_consistent_with_dp():
@@ -352,7 +352,7 @@ def test_pipeline_consistent_with_dp():
 
 
 def test_pipeline_at_size_cap():
-    # n = 512 is PipelineParams().max_n, the largest size the pipeline takes
+    # n = 512 is PIPELINE_MAX_N, the largest size the pipeline takes
     g = random_min_semidegree(512, 192, 0, flips=512 * 512)
     res = find_hamilton_absorption(g)
     assert res.verdict == "cycle_found"
