@@ -38,6 +38,16 @@ from .seeds import derive_seed
 
 Pair = tuple[int, int]
 
+# Absorbing-path constants: ALPHA1 * n^2 strong absorbers make a vertex
+# strongly absorbable, ALPHA2 * n^4 weak ones weakly absorbable; at most
+# WEAK_TARGET weak gadgets are kept, from ABSORB_PER_PAIR_CAP candidates per
+# vertex, and each weak enumeration probes at most WEAK_BUDGET prefixes.
+ALPHA1 = Fraction(1, 4096)
+ALPHA2 = Fraction(1, 1 << 22)
+WEAK_TARGET = 2
+ABSORB_PER_PAIR_CAP = 12
+WEAK_BUDGET = 100_000
+
 
 class NoConnectorAvailableError(LookupError):
     def __init__(self, x: int, y: int, used: frozenset[int]):
@@ -216,7 +226,7 @@ def is_strongly_absorbable(g: OrientedGraph, u: int, v: int,
 
 def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
                              alpha1: Fraction, cap: int | None = None,
-                             budget: int = 100_000) -> list[tuple[int, int, int, int]]:
+                             budget: int = WEAK_BUDGET) -> list[tuple[int, int, int, int]]:
     """Quadruples (w, w', z', z) with arcs w->w', w->u, z'->z, v->z whose
     inner pair (w', z') is alpha1-strongly absorbable.
 
@@ -463,8 +473,9 @@ class AbsorbingPath:
     def free_weak(self) -> list[int]:
         return [i for i in range(len(self.weak)) if i not in self.used_weak]
 
-    def capacity(self) -> int:
-        return len(self.free_strong())
+    def hosts(self, g: OrientedGraph, u: int, v: int) -> list[int]:
+        """Indices of the free strong gadgets that serve (u, v)."""
+        return [i for i in self.free_strong() if self.strong[i].serves(g, u, v)]
 
     def validate(self, g: OrientedGraph) -> None:
         """Assert path validity and the layout of every unused gadget."""
@@ -482,17 +493,6 @@ class AbsorbingPath:
                 raise StitchFailureError(f"weak gadget {gad} endpoints misplaced")
             if iz - iw < 3:
                 raise StitchFailureError(f"weak gadget {gad} segment collapsed")
-
-
-# Absorbing-path constants: ALPHA1 * n^2 strong absorbers make a vertex
-# strongly absorbable, ALPHA2 * n^4 weak ones weakly absorbable; at most
-# WEAK_TARGET weak gadgets are kept, from ABSORB_PER_PAIR_CAP candidates per
-# vertex, and each weak enumeration probes at most WEAK_BUDGET prefixes.
-ALPHA1 = Fraction(1, 4096)
-ALPHA2 = Fraction(1, 1 << 22)
-WEAK_TARGET = 2
-ABSORB_PER_PAIR_CAP = 12
-WEAK_BUDGET = 100_000
 
 
 def default_strong_target(n: int) -> int:
@@ -524,15 +524,13 @@ def build_absorbing_path(g: OrientedGraph, *, strong_target: int | None = None,
     for v in range(n):
         if is_strongly_absorbable(g, v, v, ALPHA1)[0]:
             strong_ok.append(v)
-        elif len(enumerate_weak_absorbers(g, v, v, ALPHA1, cap=tw,
-                                          budget=WEAK_BUDGET)) >= tw:
+        elif len(enumerate_weak_absorbers(g, v, v, ALPHA1, cap=tw)) >= tw:
             weak_only.append(v)
         else:
             gaps.append(v)
 
     weak_candidates = {
-        (v, v): enumerate_weak_absorbers(g, v, v, ALPHA1, cap=ABSORB_PER_PAIR_CAP,
-                                         budget=WEAK_BUDGET)
+        (v, v): enumerate_weak_absorbers(g, v, v, ALPHA1, cap=ABSORB_PER_PAIR_CAP)
         for v in weak_only
     }
     f_weak = select_disjoint_family(weak_candidates, WEAK_TARGET)
@@ -599,24 +597,18 @@ def build_absorbing_path(g: OrientedGraph, *, strong_target: int | None = None,
 # -- leftover absorption -----------------------------------------------------------
 
 
-def _max_bipartite_matching(lefts: Sequence[int],
-                            edges: dict[int, list[int]]) -> dict[int, int]:
-    """Kuhn's augmenting-path matching; returns left -> right assignment."""
-    match_right: dict[int, int] = {}
-
-    def try_assign(v: int, banned: set[int]) -> bool:
-        for r in edges.get(v, ()):
-            if r in banned:
-                continue
-            banned.add(r)
-            if r not in match_right or try_assign(match_right[r], banned):
-                match_right[r] = v
+def _augment(left, edges: dict, owner: dict, seen: set) -> bool:
+    """Kuhn's augmenting step: look for an alternating path from the
+    unmatched node ``left`` over ``edges`` (left node -> right nodes, in
+    preference order) and flip it into ``owner`` (right node -> left node).
+    ``seen`` collects the right nodes visited; returns whether one was found."""
+    for right in edges[left]:
+        if right not in seen:
+            seen.add(right)
+            if right not in owner or _augment(owner[right], edges, owner, seen):
+                owner[right] = left
                 return True
-        return False
-
-    for v in lefts:
-        try_assign(v, set())
-    return {v: r for r, v in match_right.items()}
+    return False
 
 
 def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
@@ -624,15 +616,21 @@ def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
     """Splice every leftover vertex into the absorbing path.
 
     Each vertex consumes one unused strong gadget (w, z) with w->v->z, or
-    failing that one weak gadget plus one strong gadget via the double
-    step: v replaces the weak segment w'..z', which is immediately
-    re-absorbed through a strong gadget of the pair (w', z').  Assignment
-    maximizes a bipartite matching before falling back to weak routes.
+    one weak gadget plus one strong gadget via the double step: v replaces
+    the weak segment w'..z', which is re-absorbed through a strong gadget
+    of the pair (w', z').  Both routes are one maximum bipartite matching.
+    Its left nodes are the leftovers and the inner pair of each free weak
+    gadget; the inner pair starts on its own gadget and may move to a
+    strong gadget serving it, which frees the weak gadget for a leftover.
+    Leftovers first augment over strong gadgets alone, then the unmatched
+    ones over every edge.  No augmenting path is left (Berge), so every
+    leftover is placed whenever some assignment places them all.
 
     The result covers exactly V(path) union leftovers, keeps both
     endpoints, and is arc-valid.  Raises VertexNotAbsorbableError when a
     vertex is served by no registry gadget at all, CapacityExhaustedError
-    when gadgets exist but too few remain unused.
+    when gadgets exist but no assignment of the unused ones places every
+    leftover.
     """
     todo = sorted(set(leftovers))
     if not todo:
@@ -642,63 +640,46 @@ def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
         raise ValueError(f"leftovers {sorted(overlap)} already on the path")
     for v in todo:
         g.check_vertex(v)
-
-    free_s = p_abs.free_strong()
-    free_w = p_abs.free_weak()
     for v in todo:
         if not any(gad.serves(g, v, v) for gad in p_abs.strong + p_abs.weak):
             raise VertexNotAbsorbableError(v)
 
-    edges = {v: [i for i in free_s if p_abs.strong[i].serves(g, v, v)] for v in todo}
-    matching = _max_bipartite_matching(todo, edges)
-
-    plan_strong: dict[int, int] = dict(matching)
-    plan_weak: dict[int, tuple[int, int]] = {}
-    spent_strong = set(plan_strong.values())
-    spent_weak: set[int] = set()
-    unplaced: list[int] = []
-    for v in todo:
-        if v in plan_strong:
-            continue
-        placed = False
-        for wi in free_w:
-            if wi in spent_weak or not p_abs.weak[wi].serves(g, v, v):
-                continue
-            gad = p_abs.weak[wi]
-            for si in free_s:
-                if si in spent_strong:
-                    continue
-                if p_abs.strong[si].serves(g, gad.wp, gad.zp):
-                    plan_weak[v] = (wi, si)
-                    spent_weak.add(wi)
-                    spent_strong.add(si)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            unplaced.append(v)
+    strong = {v: [("strong", i) for i in p_abs.hosts(g, v, v)] for v in todo}
+    edges = {v: strong[v] + [("weak", i) for i in p_abs.free_weak()
+                             if p_abs.weak[i].serves(g, v, v)] for v in todo}
+    owner: dict = {}
+    for i in p_abs.free_weak():
+        gad = p_abs.weak[i]
+        edges[("inner", i)] = [("weak", i)] + [
+            ("strong", j) for j in p_abs.hosts(g, gad.wp, gad.zp)]
+        owner[("weak", i)] = ("inner", i)
+    # inner pairs hold only weak gadgets here, so no strong-only path meets one
+    unmatched = [v for v in todo if not _augment(v, strong, owner, set())]
+    for v in unmatched:
+        _augment(v, edges, owner, set())
+    route = {left: right for right, left in owner.items()}
+    unplaced = [v for v in todo if v not in route]
     if unplaced:
         raise CapacityExhaustedError(unplaced)
 
     path = list(p_abs.path)
-    for v, (wi, si) in sorted(plan_weak.items()):
-        gad = p_abs.weak[wi]
-        i = path.index(gad.w)
-        j = path.index(gad.z)
-        displaced = path[i + 1:j]  # runs gad.wp .. gad.zp
-        path[i + 1:j] = [v]
-        host = p_abs.strong[si]
-        k = path.index(host.w)
-        path[k + 1:k + 1] = displaced
-    for v, si in sorted(plan_strong.items()):
-        gad = p_abs.strong[si]
-        i = path.index(gad.w)
-        path.insert(i + 1, v)
+    for v in todo:
+        kind, i = route[v]
+        insert = [v]
+        if kind == "weak":
+            gad = p_abs.weak[i]
+            a, b = path.index(gad.w), path.index(gad.z)
+            insert = path[a + 1:b]  # runs gad.wp .. gad.zp
+            path[a + 1:b] = [v]
+            _, i = route[("inner", i)]
+        k = path.index(p_abs.strong[i].w) + 1
+        path[k:k] = insert
 
+    used_strong = {i for kind, i in owner if kind == "strong"}
+    used_weak = {i for kind, i in map(route.get, todo) if kind == "weak"}
     result = AbsorbingPath(tuple(path), p_abs.strong, p_abs.weak,
-                           p_abs.used_strong | spent_strong,
-                           p_abs.used_weak | spent_weak,
+                           p_abs.used_strong | used_strong,
+                           p_abs.used_weak | used_weak,
                            p_abs.gaps, p_abs.dropped)
     if ((result.start, result.end) != (p_abs.start, p_abs.end)
             or set(result.path) != set(p_abs.path) | set(todo)):

@@ -22,7 +22,7 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__
-from .absorption import (connectivity_profile, enumerate_connectors,
+from .absorption import (ALPHA1, connectivity_profile, enumerate_connectors,
                          enumerate_strong_absorbers, enumerate_weak_absorbers)
 from .conditions import (HypothesisViolatedError, check_ghouila_houri,
                          check_nash_williams, check_ore,
@@ -353,7 +353,7 @@ def _sweep_robustness(entry: dict, seed: int) -> dict:
     n, a = int(entry["n"]), int(entry["a"])
     ac_extra = int(entry.get("ac_extra", 0))
     d_extra = int(entry.get("d_extra", 0))
-    rounds = int(entry.get("seeds", 20))
+    rounds = _count(entry, "seeds", 20)
     found = 0
     for i in range(rounds):
         params = table_params(n, a, ac_extra=ac_extra, d_extra=d_extra,
@@ -376,8 +376,16 @@ def _sizes(entry: dict, n_min: int, n_max: int) -> range:
     return range(n_min, n_max + 1)
 
 
+def _count(entry: dict, key: str, default: int) -> int:
+    """The entry's ``key`` (default as given), which must not be negative."""
+    value = int(entry.get(key, default))
+    if value < 0:
+        raise ValueError(f"{key} = {value} is negative")
+    return value
+
+
 def _sweep_oracle(entry: dict, seed: int) -> dict:
-    count = int(entry.get("count", 50))
+    count = _count(entry, "count", 50)
     sizes = _sizes(entry, 5, 9)
     prob = float(Fraction(str(entry.get("arc_prob", "1/2"))))
     disagreements = 0
@@ -392,7 +400,7 @@ def _sweep_oracle(entry: dict, seed: int) -> dict:
 
 
 def _sweep_pipeline(entry: dict, seed: int) -> dict:
-    count = int(entry.get("count", 20))
+    count = _count(entry, "count", 20)
     sizes = _sizes(entry, 24, 64)
     min_rate = Fraction(str(entry.get("min_rate", "9/10")))
     successes = 0
@@ -502,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="strong")
     p.add_argument("--k", type=int, choices=[1, 2, 3])
     p.add_argument("--cap", type=int)
-    p.add_argument("--alpha1", type=_fraction, default=Fraction(1, 4096))
+    p.add_argument("--alpha1", type=_fraction, default=ALPHA1)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_absorbers)
 

@@ -291,9 +291,7 @@ def verify_hamilton_cycle(g: OrientedGraph, cycle: "DiCycle | Iterable[int]") ->
     exception.  The verdict is invariant under rotation of the sequence.
     """
     vs = tuple(cycle.vertices if isinstance(cycle, DiCycle) else cycle)
-    if len(vs) != g.n or g.n == 0:
-        return False
-    return DiCycle(vs).is_valid_in(g) if len(set(vs)) == len(vs) else False
+    return len(vs) == g.n and DiCycle(vs).is_valid_in(g)
 
 
 # -- vertex partitions ---------------------------------------------------------

@@ -300,10 +300,8 @@ def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
     }))
 
     # reservoir, preferring vertices the registry can absorb later
-    servable = frozenset(
-        v for v in range(g.n)
-        if v not in p_abs.vertex_set()
-        and any(p_abs.strong[i].serves(g, v, v) for i in p_abs.free_strong()))
+    servable = frozenset(v for v in range(g.n) if v not in p_abs.vertex_set()
+                         and p_abs.hosts(g, v, v))
     res = build_reservoir(g, p_abs.vertex_set(), prefer=servable)
     trace.append(StageRecord("reservoir", True, {
         "vertices": len(res.vertices),

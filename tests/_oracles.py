@@ -1,7 +1,8 @@
 """Slow reference implementations used to cross-check the library.
 
-Everything here is written as plain nested loops over vertex tuples so the
-logic is independently auditable. Nothing imports from oriham beyond the
+Everything here is written as plain nested loops over vertex tuples (or,
+for the absorb assignment, over route choices) so the logic is
+independently auditable. Nothing imports from oriham beyond the
 graph container itself, except ``reservoir_oracle``, which takes its
 connector lists from ``enumerate_connectors`` (checked against
 ``connectors_oracle`` by the connector tests), and the partition search
@@ -10,7 +11,7 @@ the seeded random streams from the library.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from oriham.absorption import default_reservoir_size, enumerate_connectors
 from oriham.extremal import SIZE_ROUNDING_ALLOWANCE, ExtremalityReport
@@ -243,3 +244,33 @@ def partition_search_oracle(g, eta, c_eta=Fraction(1), seed=0,
         if best[1].verdict:
             break
     return best
+
+
+def absorb_assignment_oracle(g, P, leftovers):
+    """A leftover -> (weak index or None, strong index) assignment that
+    places every leftover through the free gadgets of the absorbing path P,
+    or None.  Leftover v takes a strong gadget (w, z) with w->v->z, or a
+    weak gadget (w, w', z', z) with w->v->z together with a strong gadget
+    (s, t) with s->w' and z'->t; no gadget is used twice.  Every
+    combination of routes is tried."""
+    def serves(gad, u, v):
+        return g.has_arc(gad.w, u) and g.has_arc(v, gad.z)
+
+    routes = []
+    for v in leftovers:
+        options = []
+        for s in P.free_strong():
+            if serves(P.strong[s], v, v):
+                options.append((None, s))
+        for w in P.free_weak():
+            if serves(P.weak[w], v, v):
+                for s in P.free_strong():
+                    if serves(P.strong[s], P.weak[w].wp, P.weak[w].zp):
+                        options.append((w, s))
+        routes.append(options)
+    for choice in product(*routes):
+        strong = [s for _, s in choice]
+        weak = [w for w, _ in choice if w is not None]
+        if len(set(strong)) == len(strong) and len(set(weak)) == len(weak):
+            return dict(zip(leftovers, choice))
+    return None

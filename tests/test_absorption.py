@@ -539,7 +539,7 @@ def test_build_minimal_path():
     assert P.strong == (StrongGadget(1, 2),)
     assert P.weak == ()
     assert P.gaps == (1, 2)
-    assert P.capacity() == 1
+    assert len(P.free_strong()) == 1
     P.validate(STRONG3)
 
 
@@ -548,7 +548,7 @@ def test_build_no_gadgets_no_path():
     assert P.path == ()
     assert P.strong == ()
     assert P.gaps == (0, 1, 2)
-    assert P.capacity() == 0
+    assert len(P.free_strong()) == 0
 
 
 def test_build_dense_instance():
@@ -557,7 +557,7 @@ def test_build_dense_instance():
     P.validate(g)
     assert len(P.path) == 42
     assert len(P.strong) == 15
-    assert P.capacity() == 15
+    assert len(P.free_strong()) == 15
     assert P.gaps == ()
     used = set()
     for gd in P.strong:
@@ -622,7 +622,7 @@ def test_absorb_double_step():
 def test_absorb_capacity_exhausted():
     g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2), (1, 3), (3, 2)])
     P = build_absorbing_path(g, strong_target=4)
-    assert P.capacity() == 1
+    assert len(P.free_strong()) == 1
     with pytest.raises(CapacityExhaustedError) as ei:
         absorb_vertices(g, P, [0, 3])
     assert len(ei.value.unplaced) == 1
@@ -641,3 +641,64 @@ def test_absorb_rejects_path_vertices():
     P = build_absorbing_path(g, strong_target=4)
     with pytest.raises(ValueError):
         absorb_vertices(g, P, [1])
+
+
+def test_absorb_weak_route_needs_strong_rematch():
+    # 8 fits s1 = (0, 1) or s2 = (2, 3); 9 fits only the weak gadget, whose
+    # inner pair (5, 6) only s1 hosts, so 8 must take s2
+    g = OrientedGraph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                           (6, 7), (0, 8), (8, 1), (2, 8), (8, 3), (4, 9),
+                           (9, 7), (0, 5), (6, 1)])
+    P = AbsorbingPath(path=(0, 1, 2, 3, 4, 5, 6, 7),
+                      strong=(StrongGadget(0, 1), StrongGadget(2, 3)),
+                      weak=(WeakGadget(4, 5, 6, 7),))
+    P.validate(g)
+    P2 = absorb_vertices(g, P, [8, 9])
+    assert P2.path == (0, 5, 6, 1, 2, 8, 3, 4, 9, 7)
+    assert P2.used_strong == frozenset({0, 1})
+    assert P2.used_weak == frozenset({0})
+
+
+def _random_registry(rng):
+    """A random absorbing path of 1-4 strong and 0-3 weak gadgets laid end
+    to end, 1-4 leftover vertices, and an arc of random direction on every
+    pair the path leaves free; vertex labels are shuffled."""
+    kinds = ["strong"] * rng.randint(1, 4) + ["weak"] * rng.randint(0, 3)
+    rng.shuffle(kinds)
+    n = 2 * kinds.count("strong") + 4 * kinds.count("weak") + rng.randint(1, 4)
+    label = rng.sample(range(n), n)
+    path, strong, weak = [], [], []
+    for kind in kinds:
+        if kind == "strong":
+            strong.append(StrongGadget(*label[len(path):len(path) + 2]))
+            path += label[len(path):len(path) + 2]
+        else:
+            weak.append(WeakGadget(*label[len(path):len(path) + 4]))
+            path += label[len(path):len(path) + 4]
+    arcs = set(zip(path, path[1:]))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in arcs and (v, u) not in arcs:
+                arcs.add((u, v) if rng.random() < 0.5 else (v, u))
+    g = OrientedGraph(n, sorted(arcs))
+    return g, AbsorbingPath(tuple(path), tuple(strong), tuple(weak)), label[len(path):]
+
+
+def test_absorb_succeeds_exactly_when_an_assignment_exists():
+    rng = rng_for(0, "absorb-registry")
+    feasible = double_steps = 0
+    for _ in range(1000):
+        g, P, leftovers = _random_registry(rng)
+        P.validate(g)
+        plan = _oracles.absorb_assignment_oracle(g, P, leftovers)
+        try:
+            P2 = absorb_vertices(g, P, leftovers)
+        except (CapacityExhaustedError, VertexNotAbsorbableError):
+            assert plan is None
+            continue
+        assert plan is not None
+        feasible += 1
+        P2.validate(g)
+        assert len(P2.used_strong) == len(leftovers)
+        double_steps += bool(P2.used_weak)
+    assert feasible > 200 and double_steps > 40

@@ -373,6 +373,25 @@ def test_sweep_rejects_bad_size_range(tmp_path, capsys, kind):
     assert all(r["error"].startswith("ValueError: size range") for r in rows)
 
 
+def test_sweep_rejects_negative_counts(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([
+        {"kind": "oracle", "count": -3},
+        {"kind": "pipeline", "count": -2},
+        {"kind": "robustness", "n": 8, "a": 0, "seeds": -1},
+        {"kind": "oracle", "count": 0},
+    ]))
+    rc, out, _ = run(capsys, ["sweep", "--spec", str(spec)])
+    assert rc == 3
+    rows = json.loads(out)["rows"]
+    assert [r["ok"] for r in rows] == [False, False, False, True]
+    assert [r["error"] for r in rows[:3]] == [
+        "ValueError: count = -3 is negative",
+        "ValueError: count = -2 is negative",
+        "ValueError: seeds = -1 is negative",
+    ]
+
+
 def test_sweep_unknown_kind(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps([{"kind": "nonsense"}]))
