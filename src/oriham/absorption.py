@@ -194,11 +194,12 @@ def enumerate_strong_absorbers(g: OrientedGraph, u: int, v: int,
     _check_cap(cap)
     g.check_vertex(u)
     g.check_vertex(v)
-    ex = ~mask_of((u, v))
+    out = g._out
+    ex = ~(1 << u | 1 << v)
+    from_v = out[v] & ex
     found: list[Pair] = []
-    for w in iter_bits(g.in_bits(u) & ex):
-        zs = g.out_bits(w) & g.out_bits(v) & ex & ~(1 << w)
-        for z in iter_bits(zs):
+    for w in iter_bits(g._in[u] & ex):
+        for z in iter_bits(out[w] & from_v):
             found.append((w, z))
             if cap is not None and len(found) >= cap:
                 return found
@@ -206,10 +207,19 @@ def enumerate_strong_absorbers(g: OrientedGraph, u: int, v: int,
 
 
 def count_strong_absorbers(g: OrientedGraph, u: int, v: int) -> int:
-    ex = ~mask_of((u, v))
+    """Number of strong absorbers of (u, v): the pairs (w, z) outside
+    {u, v} with arcs w->z, w->u and v->z that ``enumerate_strong_absorbers``
+    lists.  For each in-neighbour w of u it counts N+(w) & N+(v) minus
+    {u, v}; w itself needs no exclusion, since an oriented graph has no
+    loops and so w is never in N+(w)."""
+    g.check_vertex(u)
+    g.check_vertex(v)
+    out = g._out
+    ex = ~(1 << u | 1 << v)
+    from_v = out[v] & ex
     total = 0
-    for w in iter_bits(g.in_bits(u) & ex):
-        total += (g.out_bits(w) & g.out_bits(v) & ex & ~(1 << w)).bit_count()
+    for w in iter_bits(g._in[u] & ex):
+        total += (out[w] & from_v).bit_count()
     return total
 
 

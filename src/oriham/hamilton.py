@@ -191,42 +191,48 @@ def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
     between consecutive path vertices; the cover with fewest paths wins.
     Covers needing more than ``max_paths`` paths are truncated to the
     longest ones and flagged.
+
+    Every random pick (a path's start, a tail or head extension) is one
+    ``rng.randrange(k)`` over its k candidates, indexing them in ascending
+    vertex order (``_pick_bit``); insertion is deterministic.  That draw
+    contract fixes the cover a seed produces.
     """
     pool = [v for v in range(g.n) if v not in avoid]
     if not pool:
         return CoverResult((), frozenset(), 0, False)
+    out, inn = g._out, g._in
 
     def attempt(rng) -> list[list[int]]:
-        remaining = set(pool)
+        rem = mask_of(pool)
         paths: list[list[int]] = []
-        while remaining:
-            start = rng.choice(sorted(remaining))
-            remaining.remove(start)
+        while rem:
+            start = _pick_bit(rem, rng)
+            rem ^= 1 << start
             path = [start]
+            on_path = 1 << start
             while True:
-                opts = g.out_bits(path[-1]) & mask_of(remaining)
-                if opts:
+                if opts := out[path[-1]] & rem:
                     w = _pick_bit(opts, rng)
                     path.append(w)
-                    remaining.remove(w)
-                    continue
-                opts = g.in_bits(path[0]) & mask_of(remaining)
-                if opts:
+                elif opts := inn[path[0]] & rem:
                     w = _pick_bit(opts, rng)
                     path.insert(0, w)
-                    remaining.remove(w)
-                    continue
-                inserted = False
-                for v in sorted(remaining):
-                    spots = [i for i in range(len(path) - 1)
-                             if g.has_arc(path[i], v) and g.has_arc(v, path[i + 1])]
-                    if spots:
-                        path.insert(spots[0] + 1, v)
-                        remaining.remove(v)
-                        inserted = True
+                else:
+                    # insert the smallest w with arcs path[i] -> w -> path[i + 1],
+                    # at the smallest such i; stop when there is none
+                    body = on_path ^ 1 << path[-1]
+                    pos = {p: i for i, p in enumerate(path)}
+                    for w in iter_bits(rem):
+                        succ = out[w]
+                        spots = [pos[p] for p in iter_bits(inn[w] & body)
+                                 if succ >> path[pos[p] + 1] & 1]
+                        if spots:
+                            path.insert(min(spots) + 1, w)
+                            break
+                    else:
                         break
-                if not inserted:
-                    break
+                rem ^= 1 << w
+                on_path |= 1 << w
             paths.append(path)
         return paths
 
@@ -245,7 +251,18 @@ def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
 
 
 def _pick_bit(mask: int, rng) -> int:
-    return rng.choice(list(iter_bits(mask)))
+    """The set bit of rank ``rng.randrange(popcount)`` in ascending order:
+    the same single draw ``rng.choice`` makes over the sorted bit list.
+    The rank is located by binary search on prefix popcounts."""
+    k = rng.randrange(mask.bit_count())
+    lo, hi = 0, mask.bit_length()  # bits below lo: <= k set; below hi: > k
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (mask & ((1 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 # -- absorption pipeline ---------------------------------------------------------------

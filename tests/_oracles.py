@@ -7,7 +7,10 @@ graph container itself, except ``reservoir_oracle``, which takes its
 connector lists from ``enumerate_connectors`` (checked against
 ``connectors_oracle`` by the connector tests), and the partition search
 oracles, which take the partition and report types, the size allowance and
-the seeded random streams from the library.
+the seeded random streams from the library.  ``path_cover_oracle`` is a
+set-and-list greedy path cover making the same random draws as the
+library's; it takes the result type and the seeded random streams from
+the library.
 """
 
 from fractions import Fraction
@@ -15,7 +18,8 @@ from itertools import permutations, product
 
 from oriham.absorption import default_reservoir_size, enumerate_connectors
 from oriham.extremal import SIZE_ROUNDING_ALLOWANCE, ExtremalityReport
-from oriham.graph import Partition4, mask_of
+from oriham.graph import DiPath, Partition4, iter_bits, mask_of
+from oriham.hamilton import CoverResult
 from oriham.seeds import rng_for
 
 
@@ -274,3 +278,62 @@ def absorb_assignment_oracle(g, P, leftovers):
         if len(set(strong)) == len(strong) and len(set(weak)) == len(weak):
             return dict(zip(leftovers, choice))
     return None
+
+
+def path_cover_oracle(g, avoid, max_paths, seed=0, restarts=8):
+    """The greedy path cover with a set of remaining vertices, a rebuilt
+    mask per step and an ``has_arc`` test per insertion spot; picks are
+    ``rng.choice`` over ascending candidate lists."""
+    pool = [v for v in range(g.n) if v not in avoid]
+    if not pool:
+        return CoverResult((), frozenset(), 0, False)
+
+    def pick_bit(mask, rng):
+        return rng.choice(list(iter_bits(mask)))
+
+    def attempt(rng):
+        remaining = set(pool)
+        paths = []
+        while remaining:
+            start = rng.choice(sorted(remaining))
+            remaining.remove(start)
+            path = [start]
+            while True:
+                opts = g.out_bits(path[-1]) & mask_of(remaining)
+                if opts:
+                    w = pick_bit(opts, rng)
+                    path.append(w)
+                    remaining.remove(w)
+                    continue
+                opts = g.in_bits(path[0]) & mask_of(remaining)
+                if opts:
+                    w = pick_bit(opts, rng)
+                    path.insert(0, w)
+                    remaining.remove(w)
+                    continue
+                inserted = False
+                for v in sorted(remaining):
+                    spots = [i for i in range(len(path) - 1)
+                             if g.has_arc(path[i], v) and g.has_arc(v, path[i + 1])]
+                    if spots:
+                        path.insert(spots[0] + 1, v)
+                        remaining.remove(v)
+                        inserted = True
+                        break
+                if not inserted:
+                    break
+            paths.append(path)
+        return paths
+
+    best = min((attempt(rng_for(seed, "cover", r)) for r in range(max(1, restarts))),
+               key=len)
+
+    truncated = len(best) > max_paths
+    if truncated:
+        keep = set(map(tuple, sorted(best, key=len, reverse=True)[:max_paths]))
+        kept = [p for p in best if tuple(p) in keep]
+    else:
+        kept = best
+    covered = {v for p in kept for v in p}
+    return CoverResult(tuple(DiPath(tuple(p)) for p in kept),
+                       frozenset(pool) - covered, len(pool), truncated)

@@ -9,6 +9,7 @@ from oriham import (
     CapacityExhaustedError,
     NoConnectorAvailableError,
     OrientedGraph,
+    OutOfRangeError,
     SelfLoopError,
     StitchFailureError,
     StrongGadget,
@@ -178,7 +179,23 @@ def test_strong_absorbers_match_oracle(seed):
     g = random_oriented(8, 0.5, seed)
     rng = rng_for(seed, "pair")
     u, v = rng.sample(range(8), 2)
-    assert enumerate_strong_absorbers(g, u, v) == _oracles.strong_absorbers_oracle(g, u, v)
+    for a, b in ((u, v), (u, u)):
+        want = _oracles.strong_absorbers_oracle(g, a, b)
+        assert enumerate_strong_absorbers(g, a, b) == want
+        assert count_strong_absorbers(g, a, b) == len(want)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_strong_absorbers_reject_out_of_range(bad):
+    # _out[-1] would silently read the last vertex's row
+    g = random_oriented(5, 0.6, 0)
+    for u, v in ((bad, 0), (0, bad), (bad, bad)):
+        with pytest.raises(OutOfRangeError):
+            count_strong_absorbers(g, u, v)
+        with pytest.raises(OutOfRangeError):
+            enumerate_strong_absorbers(g, u, v)
+        with pytest.raises(OutOfRangeError):
+            is_strongly_absorbable(g, u, v, Fraction(1, 100))
 
 
 def test_strongly_absorbable_threshold():
