@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Sequence
@@ -224,11 +224,9 @@ def count_strong_absorbers(g: OrientedGraph, u: int, v: int) -> int:
 
 
 def is_strongly_absorbable(g: OrientedGraph, u: int, v: int,
-                           alpha1: Fraction) -> tuple[bool, int]:
-    """Whether (u, v) has at least alpha1 * n^2 strong absorbers; the
-    certified count rides along."""
-    count = count_strong_absorbers(g, u, v)
-    return count >= Fraction(alpha1) * g.n * g.n, count
+                           alpha1: Fraction) -> bool:
+    """Whether (u, v) has at least alpha1 * n^2 strong absorbers."""
+    return count_strong_absorbers(g, u, v) >= Fraction(alpha1) * g.n * g.n
 
 
 # -- weak absorbers ------------------------------------------------------------
@@ -253,7 +251,7 @@ def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
     def inner_ok(wp: int, zp: int) -> bool:
         key = (wp, zp)
         if key not in memo:
-            memo[key] = is_strongly_absorbable(g, wp, zp, alpha1)[0]
+            memo[key] = is_strongly_absorbable(g, wp, zp, alpha1)
         return memo[key]
 
     found: list[tuple[int, int, int, int]] = []
@@ -277,14 +275,21 @@ def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
 # -- disjoint family selection ---------------------------------------------------
 
 
-def _disjoint_sweep(lists: Iterable[Sequence[tuple[int, ...]]],
-                    limit: int | None) -> list[tuple[int, ...]]:
-    """The family selection rule: walk the candidate lists round-robin by
-    rank and keep each tuple that is disjoint from all kept before, until
-    ``limit`` are kept.  A repeated tuple is never kept twice: its first
-    visit either kept it or met a kept vertex, and both block it again.
-    Rank 0 reads ``lists`` lazily, one list as the walk reaches it, so an
-    early stop leaves later lists unbuilt."""
+def select_disjoint_family(lists: Iterable[Sequence[tuple[int, ...]]],
+                           limit: int | None) -> list[tuple[int, ...]]:
+    """A pairwise vertex-disjoint family of at most ``limit`` candidate
+    tuples, sorted.
+
+    The candidate lists are read round-robin by rank in the order given,
+    so every list's first tuple gets a look before any list's second; a
+    tuple is kept when it shares no vertex with those kept before.  A
+    repeated tuple is never kept twice: its first visit either kept it or
+    met a kept vertex, and both block it again.  Rank 0 reads ``lists``
+    lazily, one list as the walk reaches it, so an early stop leaves later
+    lists unbuilt.  The paper first keeps each tuple with probability
+    sigma / 2^7 divided by a falling factorial of n, which is close to
+    zero at every n a graph here can have, so every tuple is offered.
+    """
     kept: list[tuple[int, ...]] = []
     used: set[int] = set()
 
@@ -302,23 +307,7 @@ def _disjoint_sweep(lists: Iterable[Sequence[tuple[int, ...]]],
             used.update(tup)
             if len(kept) == limit:
                 break
-    return kept
-
-
-def select_disjoint_family(candidates: dict[Pair, Sequence[tuple[int, ...]]],
-                           limit: int | None) -> list[tuple[int, ...]]:
-    """A pairwise vertex-disjoint family of at most ``limit`` candidate
-    tuples, sorted.
-
-    Pairs are taken in ascending order and their lists read round-robin by
-    rank, so every pair's first tuple gets a look before any pair's second;
-    a tuple is kept when it shares no vertex with those kept before.  The
-    paper first keeps each tuple with probability sigma / 2^7 divided by a
-    falling factorial of n, which is close to zero at every n a graph here
-    can have, so every tuple is offered.
-    """
-    return sorted(_disjoint_sweep((candidates[pair] for pair in sorted(candidates)),
-                                  limit))
+    return sorted(kept)
 
 
 # -- reservoir -------------------------------------------------------------------
@@ -363,7 +352,7 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
     stages, ascending, that no earlier stage covers.  A pair's candidates
     are the first RESERVOIR_PER_PAIR_CAP of its first eight times as many
     k-connectors that avoid those vertices (and lie in a nonempty
-    ``prefer``); ``_disjoint_sweep`` keeps (budget - |R|) // k of them.
+    ``prefer``); ``select_disjoint_family`` keeps (budget - |R|) // k of them.
     The walk enumerates a pair's connectors only when it reaches the pair
     and stops once that room is full, within the first few pairs of a
     dense graph; a stage that leaves room for the next was walked in full.
@@ -391,7 +380,7 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
                         walked[(u, v)] = opts[:RESERVOIR_PER_PAIR_CAP]
                         yield walked[(u, v)]
 
-        kept = set(_disjoint_sweep(candidate_lists(), room))
+        kept = set(select_disjoint_family(candidate_lists(), room))
         chosen.update(w for tup in kept for w in tup)
         covered.update(pair for pair, opts in walked.items()
                        if not kept.isdisjoint(opts))
@@ -454,15 +443,14 @@ class AbsorbingPath:
     """A directed path carrying a registry of single-use absorber gadgets.
 
     Strong gadgets (w, z) sit as consecutive path edges; weak gadgets
-    (w, w', z', z) sit as w, w', <connector-only segment>, z', z.  Used
-    gadgets are tracked by registry index so rewrites stay idempotent.
+    (w, w', z', z) sit as w, w', <connector-only segment>, z', z.  The
+    registry lists only unused gadgets: absorbing a vertex drops the
+    gadgets it spends.
     """
 
     path: tuple[int, ...]
     strong: tuple[StrongGadget, ...] = ()
     weak: tuple[WeakGadget, ...] = ()
-    used_strong: frozenset[int] = frozenset()
-    used_weak: frozenset[int] = frozenset()
     gaps: tuple[int, ...] = ()
     dropped: int = 0
 
@@ -477,27 +465,19 @@ class AbsorbingPath:
     def end(self) -> int:
         return self.path[-1]
 
-    def free_strong(self) -> list[int]:
-        return [i for i in range(len(self.strong)) if i not in self.used_strong]
-
-    def free_weak(self) -> list[int]:
-        return [i for i in range(len(self.weak)) if i not in self.used_weak]
-
     def hosts(self, g: OrientedGraph, u: int, v: int) -> list[int]:
-        """Indices of the free strong gadgets that serve (u, v)."""
-        return [i for i in self.free_strong() if self.strong[i].serves(g, u, v)]
+        """Indices of the strong gadgets that serve (u, v)."""
+        return [i for i, gad in enumerate(self.strong) if gad.serves(g, u, v)]
 
     def validate(self, g: OrientedGraph) -> None:
-        """Assert path validity and the layout of every unused gadget."""
+        """Assert path validity and the layout of every registry gadget."""
         if self.path:
             DiPath(self.path).validate(g)
         pos = {v: i for i, v in enumerate(self.path)}
-        for i in self.free_strong():
-            gad = self.strong[i]
+        for gad in self.strong:
             if pos.get(gad.z, -2) != pos.get(gad.w, -9) + 1:
                 raise StitchFailureError(f"strong gadget {gad} not consecutive")
-        for i in self.free_weak():
-            gad = self.weak[i]
+        for gad in self.weak:
             iw, iz = pos[gad.w], pos[gad.z]
             if self.path[iw + 1] != gad.wp or self.path[iz - 1] != gad.zp:
                 raise StitchFailureError(f"weak gadget {gad} endpoints misplaced")
@@ -509,16 +489,16 @@ def default_strong_target(n: int) -> int:
     return max(4, min(14, n // 5))
 
 
-def build_absorbing_path(g: OrientedGraph, *, strong_target: int | None = None,
-                         seed: int = 0) -> AbsorbingPath:
+def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
     """Classify vertices by absorbability, select disjoint gadget families
-    (weak first, then at most ``strong_target`` strong ones from what
-    remains, default ``default_strong_target(n)``), and stitch the gadgets
-    into one directed path.
+    (weak first, then at most ``default_strong_target(n)`` strong ones from
+    what remains), and stitch the gadgets into one directed path.
 
     A vertex is strongly absorbable when ``is_strongly_absorbable`` says so
     at ALPHA1, and weakly absorbable when it has at least ALPHA2 * n^4 weak
-    absorbers among those the enumeration budget reaches.
+    absorbers among those the enumeration budget reaches.  A weakly
+    absorbable vertex's candidates are the first ABSORB_PER_PAIR_CAP of
+    them, read off the same enumeration.
 
     Vertices with neither gadget type are reported in ``gaps`` rather than
     raised: tiny or sparse graphs legitimately have none, and callers can
@@ -529,36 +509,32 @@ def build_absorbing_path(g: OrientedGraph, *, strong_target: int | None = None,
     tw = max(1, math.ceil(ALPHA2 * n ** 4))
 
     strong_ok: list[int] = []
-    weak_only: list[int] = []
+    weak_candidates: list[list[tuple[int, ...]]] = []
     gaps: list[int] = []
     for v in range(n):
-        if is_strongly_absorbable(g, v, v, ALPHA1)[0]:
+        if is_strongly_absorbable(g, v, v, ALPHA1):
             strong_ok.append(v)
-        elif len(enumerate_weak_absorbers(g, v, v, ALPHA1, cap=tw)) >= tw:
-            weak_only.append(v)
+            continue
+        found = enumerate_weak_absorbers(g, v, v, ALPHA1,
+                                         cap=max(tw, ABSORB_PER_PAIR_CAP))
+        if len(found) >= tw:
+            weak_candidates.append(found[:ABSORB_PER_PAIR_CAP])
         else:
             gaps.append(v)
-
-    weak_candidates = {
-        (v, v): enumerate_weak_absorbers(g, v, v, ALPHA1, cap=ABSORB_PER_PAIR_CAP)
-        for v in weak_only
-    }
     f_weak = select_disjoint_family(weak_candidates, WEAK_TARGET)
 
-    if strong_target is None:
-        strong_target = default_strong_target(n)
     taken = {w for tup in f_weak for w in tup}
     # shuffle each pool before capping: the lexicographic enumeration piles
     # onto low-numbered vertices, which starves the disjointness sweep
     pool_rng = random.Random(derive_seed(seed, "strong-pool"))
-    strong_candidates: dict[Pair, list[tuple[int, ...]]] = {}
+    strong_candidates: list[list[tuple[int, ...]]] = []
     for v in strong_ok:
         opts = [tup for tup in enumerate_strong_absorbers(
                     g, v, v, cap=8 * ABSORB_PER_PAIR_CAP)
                 if taken.isdisjoint(tup)]
         pool_rng.shuffle(opts)
-        strong_candidates[(v, v)] = opts[:ABSORB_PER_PAIR_CAP]
-    f_strong = select_disjoint_family(strong_candidates, strong_target)
+        strong_candidates.append(opts[:ABSORB_PER_PAIR_CAP])
+    f_strong = select_disjoint_family(strong_candidates, default_strong_target(n))
 
     # Stitch weak units first, then strong, chaining with free connectors.
     units: list[tuple[str, tuple[int, ...]]] = (
@@ -599,7 +575,7 @@ def build_absorbing_path(g: OrientedGraph, *, strong_target: int | None = None,
         raise StitchFailureError(
             f"none of the {len(units)} selected gadgets could be stitched")
     result = AbsorbingPath(tuple(path), tuple(strong_gadgets), tuple(weak_gadgets),
-                           frozenset(), frozenset(), tuple(gaps), dropped)
+                           tuple(gaps), dropped)
     result.validate(g)
     return result
 
@@ -625,11 +601,11 @@ def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
                     leftovers: Iterable[int]) -> AbsorbingPath:
     """Splice every leftover vertex into the absorbing path.
 
-    Each vertex consumes one unused strong gadget (w, z) with w->v->z, or
-    one weak gadget plus one strong gadget via the double step: v replaces
+    Each vertex consumes one strong gadget (w, z) with w->v->z, or one
+    weak gadget plus one strong gadget via the double step: v replaces
     the weak segment w'..z', which is re-absorbed through a strong gadget
     of the pair (w', z').  Both routes are one maximum bipartite matching.
-    Its left nodes are the leftovers and the inner pair of each free weak
+    Its left nodes are the leftovers and the inner pair of each weak
     gadget; the inner pair starts on its own gadget and may move to a
     strong gadget serving it, which frees the weak gadget for a leftover.
     Leftovers first augment over strong gadgets alone, then the unmatched
@@ -637,10 +613,11 @@ def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
     leftover is placed whenever some assignment places them all.
 
     The result covers exactly V(path) union leftovers, keeps both
-    endpoints, and is arc-valid.  Raises VertexNotAbsorbableError when a
-    vertex is served by no registry gadget at all, CapacityExhaustedError
-    when gadgets exist but no assignment of the unused ones places every
-    leftover.
+    endpoints, and passes ``validate``; its registry drops the spent
+    gadgets: every matched strong gadget, and every weak gadget a leftover
+    holds.  Raises VertexNotAbsorbableError when a vertex is served by no
+    registry gadget at all, CapacityExhaustedError when gadgets exist but
+    no assignment of them places every leftover.
     """
     todo = sorted(set(leftovers))
     if not todo:
@@ -655,11 +632,10 @@ def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
             raise VertexNotAbsorbableError(v)
 
     strong = {v: [("strong", i) for i in p_abs.hosts(g, v, v)] for v in todo}
-    edges = {v: strong[v] + [("weak", i) for i in p_abs.free_weak()
-                             if p_abs.weak[i].serves(g, v, v)] for v in todo}
+    edges = {v: strong[v] + [("weak", i) for i, gad in enumerate(p_abs.weak)
+                             if gad.serves(g, v, v)] for v in todo}
     owner: dict = {}
-    for i in p_abs.free_weak():
-        gad = p_abs.weak[i]
+    for i, gad in enumerate(p_abs.weak):
         edges[("inner", i)] = [("weak", i)] + [
             ("strong", j) for j in p_abs.hosts(g, gad.wp, gad.zp)]
         owner[("weak", i)] = ("inner", i)
@@ -685,15 +661,15 @@ def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
         k = path.index(p_abs.strong[i].w) + 1
         path[k:k] = insert
 
-    used_strong = {i for kind, i in owner if kind == "strong"}
-    used_weak = {i for kind, i in map(route.get, todo) if kind == "weak"}
-    result = AbsorbingPath(tuple(path), p_abs.strong, p_abs.weak,
-                           p_abs.used_strong | used_strong,
-                           p_abs.used_weak | used_weak,
-                           p_abs.gaps, p_abs.dropped)
+    result = replace(
+        p_abs, path=tuple(path),
+        strong=tuple(gad for i, gad in enumerate(p_abs.strong)
+                     if ("strong", i) not in owner),
+        weak=tuple(gad for i, gad in enumerate(p_abs.weak)
+                   if owner[("weak", i)] == ("inner", i)))
     if ((result.start, result.end) != (p_abs.start, p_abs.end)
             or set(result.path) != set(p_abs.path) | set(todo)):
         raise InvalidPathError(f"absorbing {todo} moved a path endpoint "
                                "or lost a vertex")
-    DiPath(result.path).validate(g)
+    result.validate(g)
     return result

@@ -27,14 +27,14 @@ from .absorption import (ALPHA1, connectivity_profile, enumerate_connectors,
 from .conditions import (HypothesisViolatedError, check_ghouila_houri,
                          check_nash_williams, check_ore,
                          check_semidegree_consequence, check_sparse_set_bound,
-                         check_woodall)
+                         check_woodall, frac_json)
 from .extremal import (InfeasibleParamsError, PartitionNotCoveringError,
                        find_sharp_pair, generate_extremal, table_params,
                        verify_partition)
 from .fileio import EdgeListParseError, emit_edge_list, parse_edge_list
 from .generators import random_min_semidegree, random_oriented
 from .graph import GraphError, OrientedGraph, Partition4
-from .hamilton import (TooLargeError, exact_brute, exact_dp,
+from .hamilton import (DP_MAX_N, TooLargeError, exact_brute, exact_dp,
                        find_hamilton_absorption)
 from .seeds import derive_seed
 
@@ -331,18 +331,13 @@ def cmd_solve(args) -> int:
 # -- sweep --------------------------------------------------------------------
 
 
-def _frac_json(x: Fraction) -> dict:
-    x = Fraction(x)
-    return {"num": x.numerator, "den": x.denominator}
-
-
 def _sweep_sharpness(entry: dict, seed: int) -> dict:
     n, a = int(entry["n"]), int(entry["a"])
     params = table_params(n, a, seed=seed)
     g, part = generate_extremal(params)
     pair = find_sharp_pair(g, params.bound)
     sizes_ok = tuple(len(part.classes()[lab]) for lab in "ABCD") == params.sizes
-    verdict = exact_dp(g).verdict if n <= 24 else "skipped"
+    verdict = exact_dp(g).verdict if n <= DP_MAX_N else "skipped"
     ok = sizes_ok and pair is not None and verdict in ("none_exists", "skipped")
     return {"n": n, "a": a, "bound": params.bound,
             "sharp_pair": list(pair) if pair else None,
@@ -412,7 +407,7 @@ def _sweep_pipeline(entry: dict, seed: int) -> dict:
             successes += 1
     rate = Fraction(successes, count) if count else Fraction(1)
     return {"instances": count, "successes": successes,
-            "rate": _frac_json(rate), "min_rate": _frac_json(min_rate),
+            "rate": frac_json(rate), "min_rate": frac_json(min_rate),
             "ok": rate >= min_rate}
 
 

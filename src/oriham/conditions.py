@@ -19,6 +19,11 @@ class HypothesisViolatedError(ValueError):
     """The checker's precondition on its inputs does not hold."""
 
 
+def frac_json(x: Fraction) -> dict:
+    """The exact JSON form of a rational that every report uses."""
+    return {"num": x.numerator, "den": x.denominator}
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     condition: str
@@ -31,8 +36,7 @@ class ConditionReport:
         d: dict[str, Any] = {
             "condition": self.condition,
             "satisfied": self.satisfied,
-            "margin": (None if self.margin is None
-                       else {"num": self.margin.numerator, "den": self.margin.denominator}),
+            "margin": None if self.margin is None else frac_json(self.margin),
             "witness": self.witness,
         }
         if self.strong is not None:

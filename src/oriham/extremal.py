@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conditions import non_arc_pairs
+from .conditions import frac_json, non_arc_pairs
 from .graph import OrientedGraph, Partition4, iter_bits, mask_of
 from .seeds import derive_seed, rng_for
 
@@ -238,10 +238,9 @@ class ExtremalityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "eta": {"num": self.eta.numerator, "den": self.eta.denominator},
-            "c_eta": {"num": self.c_eta.numerator, "den": self.c_eta.denominator},
-            "slacks": {k: {"num": v.numerator, "den": v.denominator}
-                       for k, v in sorted(self.slacks.items())},
+            "eta": frac_json(self.eta),
+            "c_eta": frac_json(self.c_eta),
+            "slacks": {k: frac_json(v) for k, v in sorted(self.slacks.items())},
             "verdict": self.verdict,
         }
 

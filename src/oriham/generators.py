@@ -49,5 +49,5 @@ def random_min_semidegree(n: int, bound: int, seed: int,
         inn[v] &= ~(1 << u)
         out[v] |= 1 << u
         inn[u] |= 1 << v
-    arcs = [(u, v) for u in range(n) for v in range(n) if (out[u] >> v) & 1]
-    return OrientedGraph(n, arcs)
+    # each flip moves one arc, so the bitsets stay an oriented graph
+    return OrientedGraph._from_bits(n, out, inn, base.arc_count)

@@ -103,6 +103,7 @@ def exact_brute(g: OrientedGraph, max_n: int = 10) -> HamiltonResult:
 
 
 _ENDS = np.uint32  # endpoint sets: one bit per vertex
+DP_MAX_N = 24  # exact_dp's default cap; the sweeps skip larger graphs
 
 
 def _endpoint_table(g: OrientedGraph) -> np.ndarray:
@@ -130,7 +131,7 @@ def _endpoint_table(g: OrientedGraph) -> np.ndarray:
     return dp
 
 
-def exact_dp(g: OrientedGraph, max_n: int = 24) -> HamiltonResult:
+def exact_dp(g: OrientedGraph, max_n: int = DP_MAX_N) -> HamiltonResult:
     """Held-Karp reachability over (visited set, endpoint) states anchored
     at vertex 0, with certificate reconstruction on success.
 

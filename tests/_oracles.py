@@ -252,7 +252,7 @@ def partition_search_oracle(g, eta, c_eta=Fraction(1), seed=0,
 
 def absorb_assignment_oracle(g, P, leftovers):
     """A leftover -> (weak index or None, strong index) assignment that
-    places every leftover through the free gadgets of the absorbing path P,
+    places every leftover through the gadgets of the absorbing path P,
     or None.  Leftover v takes a strong gadget (w, z) with w->v->z, or a
     weak gadget (w, w', z', z) with w->v->z together with a strong gadget
     (s, t) with s->w' and z'->t; no gadget is used twice.  Every
@@ -263,12 +263,12 @@ def absorb_assignment_oracle(g, P, leftovers):
     routes = []
     for v in leftovers:
         options = []
-        for s in P.free_strong():
+        for s in range(len(P.strong)):
             if serves(P.strong[s], v, v):
                 options.append((None, s))
-        for w in P.free_weak():
+        for w in range(len(P.weak)):
             if serves(P.weak[w], v, v):
-                for s in P.free_strong():
+                for s in range(len(P.strong)):
                     if serves(P.strong[s], P.weak[w].wp, P.weak[w].zp):
                         options.append((w, s))
         routes.append(options)

@@ -199,10 +199,9 @@ def test_strong_absorbers_reject_out_of_range(bad):
 
 
 def test_strongly_absorbable_threshold():
-    ok, cnt = is_strongly_absorbable(STRONG3, 0, 0, Fraction(1, 9))
-    assert ok and cnt == 1
-    ok, cnt = is_strongly_absorbable(STRONG3, 0, 0, Fraction(1, 8))
-    assert not ok and cnt == 1
+    assert count_strong_absorbers(STRONG3, 0, 0) == 1
+    assert is_strongly_absorbable(STRONG3, 0, 0, Fraction(1, 9))
+    assert not is_strongly_absorbable(STRONG3, 0, 0, Fraction(1, 8))
 
 
 WEAK6 = OrientedGraph(6, [(2, 3), (2, 0), (4, 5), (1, 5), (1, 3)])
@@ -250,35 +249,46 @@ def test_weak_absorbers_match_oracle(seed):
 
 
 def test_family_disjoint_candidates_all_kept():
-    cand = {(100 + i, 200 + i): [(i,)] for i in range(10)}
+    cand = [[(i,)] for i in range(10)]
     assert select_disjoint_family(cand, None) == [(i,) for i in range(10)]
 
 
 def test_family_shared_vertex_collapses():
-    star = {(10, 11): [(0,)], (12, 13): [(0,)], (14, 15): [(0,)]}
+    star = [[(0,)], [(0,)], [(0,)]]
     assert select_disjoint_family(star, None) == [(0,)]
 
 
 def test_family_max_size():
-    cand = {(100 + i, 200 + i): [(i,)] for i in range(10)}
+    cand = [[(i,)] for i in range(10)]
     assert select_disjoint_family(cand, 4) == [(0,), (1,), (2,), (3,)]
     assert select_disjoint_family(cand, 0) == []
 
 
 def test_family_order():
-    # pairs are read in sorted order, not insertion order
-    cand = {(9, 8): [(0, 1), (6, 7)], (7, 6): [(1, 2), (3, 4)]}
+    # lists are read in the order given
+    cand = [[(1, 2), (3, 4)], [(0, 1), (6, 7)]]
     assert select_disjoint_family(cand, None) == [(1, 2), (3, 4), (6, 7)]
-    # each pair's first tuple is offered before any pair's second, and the
+    assert select_disjoint_family(cand[::-1], None) == [(0, 1), (3, 4), (6, 7)]
+    # each list's first tuple is offered before any list's second, and the
     # family comes back sorted
-    cand = {(7, 6): [(4, 5), (2, 3)], (9, 8): [(0, 1), (6, 7)]}
+    cand = [[(4, 5), (2, 3)], [(0, 1), (6, 7)]]
     assert select_disjoint_family(cand, 2) == [(0, 1), (4, 5)]
+
+
+def test_family_stops_reading_at_limit():
+    # a limit reached at rank 0 leaves the later lists unread
+    def lists():
+        yield [(0,), (5,)]
+        yield [(1,)]
+        raise RuntimeError("third list read")
+
+    assert select_disjoint_family(lists(), 2) == [(0,), (1,)]
 
 
 def test_family_members_pairwise_disjoint():
     g, part = generate_extremal(table_params(13, 1))
     pairs = [(b, d) for b in sorted(part.B)[:2] for d in sorted(part.D)[:2]]
-    cand = {pr: enumerate_strong_absorbers(g, *pr, cap=20) for pr in pairs}
+    cand = [enumerate_strong_absorbers(g, *pr, cap=20) for pr in pairs]
     fam = select_disjoint_family(cand, None)
     assert fam
     used = set()
@@ -551,30 +561,27 @@ def test_gadget_serves():
 
 
 def test_build_minimal_path():
-    P = build_absorbing_path(STRONG3, strong_target=4)
+    P = build_absorbing_path(STRONG3)
     assert P.path == (1, 2)
     assert P.strong == (StrongGadget(1, 2),)
     assert P.weak == ()
     assert P.gaps == (1, 2)
-    assert len(P.free_strong()) == 1
     P.validate(STRONG3)
 
 
 def test_build_no_gadgets_no_path():
-    P = build_absorbing_path(C3, strong_target=4)
+    P = build_absorbing_path(C3)
     assert P.path == ()
     assert P.strong == ()
     assert P.gaps == (0, 1, 2)
-    assert len(P.free_strong()) == 0
 
 
 def test_build_dense_instance():
     g = random_min_semidegree(60, 23, 11)
-    P = build_absorbing_path(g, strong_target=16, seed=11)
+    P = build_absorbing_path(g, seed=11)
     P.validate(g)
-    assert len(P.path) == 42
-    assert len(P.strong) == 15
-    assert len(P.free_strong()) == 15
+    assert len(P.path) == 32
+    assert len(P.strong) == default_strong_target(60)
     assert P.gaps == ()
     used = set()
     for gd in P.strong:
@@ -590,10 +597,28 @@ def test_build_classifies_with_strong_absorbability_threshold():
     # alpha1 * n^2 = 2.44 at n = 100, and vertex 0 has only 2 strong
     # absorbers, so it is not strongly absorbable and gets no gadget
     g = OrientedGraph(100, [(1, 0), (0, 2), (0, 3), (1, 2), (1, 3)])
-    assert is_strongly_absorbable(g, 0, 0, absorption.ALPHA1) == (False, 2)
+    assert count_strong_absorbers(g, 0, 0) == 2
+    assert not is_strongly_absorbable(g, 0, 0, absorption.ALPHA1)
     P = build_absorbing_path(g)
     assert P.path == ()
     assert P.gaps == tuple(range(100))
+
+
+def test_build_enumerates_weak_absorbers_once_per_vertex(monkeypatch):
+    # one enumeration both classifies a vertex and supplies its candidates
+    g = random_oriented(6, 0.5, 4)
+    calls = []
+    enumerate_all = absorption.enumerate_weak_absorbers
+
+    def recording(g, u, v, *args, **kwargs):
+        calls.append((u, v))
+        return enumerate_all(g, u, v, *args, **kwargs)
+
+    monkeypatch.setattr(absorption, "enumerate_weak_absorbers", recording)
+    P = build_absorbing_path(g)
+    assert P.weak == (WeakGadget(3, 5, 0, 4),)
+    assert calls == [(v, v) for v in range(g.n)
+                     if not is_strongly_absorbable(g, v, v, absorption.ALPHA1)]
 
 
 def test_default_strong_target():
@@ -609,17 +634,37 @@ def test_validate_catches_broken_registry():
 
 
 def test_absorb_nothing_is_identity():
-    P = build_absorbing_path(STRONG3, strong_target=4)
+    P = build_absorbing_path(STRONG3)
     assert absorb_vertices(STRONG3, P, []) is P
 
 
 def test_absorb_single_vertex():
-    P = build_absorbing_path(STRONG3, strong_target=4)
+    P = build_absorbing_path(STRONG3)
     P2 = absorb_vertices(STRONG3, P, [0])
     assert P2.path == (1, 0, 2)
-    assert P2.used_strong == frozenset({0})
-    assert P2.free_strong() == []
+    assert P2.strong == ()
     P2.validate(STRONG3)
+
+
+def test_absorb_drops_only_spent_gadgets():
+    g = OrientedGraph(5, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 1)])
+    P = AbsorbingPath(path=(0, 1, 2, 3),
+                      strong=(StrongGadget(0, 1), StrongGadget(2, 3)))
+    P2 = absorb_vertices(g, P, [4])
+    assert P2.path == (0, 4, 1, 2, 3)
+    assert P2.strong == (StrongGadget(2, 3),)
+    P2.validate(g)
+
+
+def test_absorb_spent_gadget_serves_no_more():
+    # 0 and 3 fit only the gadget (1, 2); once 0 spends it, no registry
+    # gadget serves 3
+    g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2), (1, 3), (3, 2)])
+    P2 = absorb_vertices(g, build_absorbing_path(g), [0])
+    assert P2.path == (1, 0, 2)
+    with pytest.raises(VertexNotAbsorbableError) as ei:
+        absorb_vertices(g, P2, [3])
+    assert ei.value.vertex == 3
 
 
 def test_absorb_double_step():
@@ -631,15 +676,15 @@ def test_absorb_double_step():
     P.validate(g)
     P2 = absorb_vertices(g, P, [6])
     assert P2.path == (0, 6, 3, 4, 1, 2, 5)
-    assert P2.used_weak == frozenset({0})
-    assert P2.used_strong == frozenset({0})
+    assert P2.weak == ()
+    assert P2.strong == ()
     P2.validate(g)
 
 
 def test_absorb_capacity_exhausted():
     g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2), (1, 3), (3, 2)])
-    P = build_absorbing_path(g, strong_target=4)
-    assert len(P.free_strong()) == 1
+    P = build_absorbing_path(g)
+    assert len(P.strong) == 1
     with pytest.raises(CapacityExhaustedError) as ei:
         absorb_vertices(g, P, [0, 3])
     assert len(ei.value.unplaced) == 1
@@ -647,7 +692,7 @@ def test_absorb_capacity_exhausted():
 
 def test_absorb_unservable_vertex():
     g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2)])
-    P = build_absorbing_path(g, strong_target=4)
+    P = build_absorbing_path(g)
     with pytest.raises(VertexNotAbsorbableError) as ei:
         absorb_vertices(g, P, [3])
     assert ei.value.vertex == 3
@@ -655,7 +700,7 @@ def test_absorb_unservable_vertex():
 
 def test_absorb_rejects_path_vertices():
     g = OrientedGraph(4, [(1, 2), (1, 0), (0, 2)])
-    P = build_absorbing_path(g, strong_target=4)
+    P = build_absorbing_path(g)
     with pytest.raises(ValueError):
         absorb_vertices(g, P, [1])
 
@@ -672,8 +717,8 @@ def test_absorb_weak_route_needs_strong_rematch():
     P.validate(g)
     P2 = absorb_vertices(g, P, [8, 9])
     assert P2.path == (0, 5, 6, 1, 2, 8, 3, 4, 9, 7)
-    assert P2.used_strong == frozenset({0, 1})
-    assert P2.used_weak == frozenset({0})
+    assert P2.strong == ()
+    assert P2.weak == ()
 
 
 def _random_registry(rng):
@@ -701,6 +746,13 @@ def _random_registry(rng):
     return g, AbsorbingPath(tuple(path), tuple(strong), tuple(weak)), label[len(path):]
 
 
+def _intact(path, gad):
+    """Whether the gadget's outer end w is still followed on ``path`` by
+    z (strong) or w' (weak)."""
+    i = path.index(gad.w)
+    return path[i + 1] == (gad.wp if isinstance(gad, WeakGadget) else gad.z)
+
+
 def test_absorb_succeeds_exactly_when_an_assignment_exists():
     rng = rng_for(0, "absorb-registry")
     feasible = double_steps = 0
@@ -716,6 +768,9 @@ def test_absorb_succeeds_exactly_when_an_assignment_exists():
         assert plan is not None
         feasible += 1
         P2.validate(g)
-        assert len(P2.used_strong) == len(leftovers)
-        double_steps += bool(P2.used_weak)
+        assert len(P.strong) - len(P2.strong) == len(leftovers)
+        # a gadget stays in the registry exactly when its layout is intact
+        assert P2.strong == tuple(gd for gd in P.strong if _intact(P2.path, gd))
+        assert P2.weak == tuple(gd for gd in P.weak if _intact(P2.path, gd))
+        double_steps += len(P2.weak) < len(P.weak)
     assert feasible > 200 and double_steps > 40

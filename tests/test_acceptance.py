@@ -14,7 +14,6 @@ from oriham import (
     build_absorbing_path,
     check_ore,
     check_semidegree_consequence,
-    default_strong_target,
     enumerate_connectors,
     enumerate_strong_absorbers,
     enumerate_weak_absorbers,
@@ -173,14 +172,13 @@ def test_criterion_6_absorb_rewrite_contract():
         s = derive_seed(0, "absorb", i)
         n = 18 + (i * 7) % 23
         g = random_min_semidegree(n, -(-3 * n // 8), s)
-        P = build_absorbing_path(
-            g, strong_target=default_strong_target(n), seed=s)
+        P = build_absorbing_path(g, seed=s)
         P.validate(g)
         outside = [v for v in range(n) if v not in P.vertex_set()]
         want = 1 + i % 6
 
         # grow U only while a perfect gadget matching survives
-        free = P.free_strong()
+        free = range(len(P.strong))
         match = {}
 
         def augment(v, visited):

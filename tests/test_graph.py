@@ -17,6 +17,7 @@ from oriham import (
     generate_extremal,
     iter_bits,
     mask_of,
+    random_min_semidegree,
     strongly_connected,
     table_params,
     verify_hamilton_cycle,
@@ -116,6 +117,19 @@ def test_graph_equality_and_hash():
 arc_lists = st.lists(
     st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30
 )
+
+
+@pytest.mark.parametrize("n, bound, seeds", [(3, 1, 4), (8, 3, 4), (17, 7, 4),
+                                             (48, 18, 3), (192, 72, 1)])
+def test_min_semidegree_graph_matches_rebuilt(n, bound, seeds):
+    # the generator wraps its own bitsets; inserting its arcs one by one
+    # must give the same graph
+    for seed in range(seeds):
+        g = random_min_semidegree(n, bound, seed)
+        rebuilt = OrientedGraph(g.n, g.arcs())
+        assert g == rebuilt
+        assert (g._in, g.arc_count) == (rebuilt._in, rebuilt.arc_count)
+        assert g.min_semidegree() >= bound
 
 
 @given(arc_lists)

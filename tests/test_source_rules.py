@@ -1,0 +1,40 @@
+"""Rules the package source keeps: no ``assert`` statement, since
+``python -O`` strips it and a check written as one would vanish, and no
+handler that catches every exception (a bare ``except:``, ``except
+Exception`` or ``except BaseException``), which would hide a bug as an
+expected error."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "oriham"
+BROAD = {"Exception", "BaseException"}
+
+
+def _violations(source: str) -> list[tuple[int, str]]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(isinstance(c, ast.Name) and c.id in BROAD
+                                        for c in caught):
+                found.append((node.lineno, "broad except"))
+    return found
+
+
+def test_rules_flag_each_form():
+    source = ("assert x\n"
+              "try:\n    f()\nexcept:\n    pass\n"
+              "try:\n    f()\nexcept (ValueError, Exception):\n    pass\n"
+              "try:\n    f()\nexcept KeyError:\n    pass\n")
+    assert _violations(source) == [(1, "assert"), (4, "broad except"),
+                                   (8, "broad except")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_source_has_no_assert_or_broad_except(path):
+    assert _violations(path.read_text()) == []
