@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
@@ -33,15 +34,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import DiPath, InvalidPathError, OrientedGraph, iter_bits, mask_of
+from .graph import (DiPath, InvalidPathError, OrientedGraph, iter_bits, mask_of,
+                    nth_bit)
 from .seeds import derive_seed
 
 Pair = tuple[int, int]
 
 # Absorbing-path constants: ALPHA1 * n^2 strong absorbers make a vertex
-# strongly absorbable, ALPHA2 * n^4 weak ones weakly absorbable; at most
-# WEAK_TARGET weak gadgets are kept, from ABSORB_PER_PAIR_CAP candidates per
-# vertex, and each weak enumeration probes at most WEAK_BUDGET prefixes.
+# strongly absorbable, ALPHA2 * n^4 weak ones weakly absorbable; each vertex
+# offers ABSORB_PER_PAIR_CAP candidates of its kind to the family selection,
+# at most WEAK_TARGET weak gadgets are kept, and each weak enumeration probes
+# at most WEAK_BUDGET prefixes.
 ALPHA1 = Fraction(1, 4096)
 ALPHA2 = Fraction(1, 1 << 22)
 WEAK_TARGET = 2
@@ -206,27 +209,77 @@ def enumerate_strong_absorbers(g: OrientedGraph, u: int, v: int,
     return found
 
 
-def count_strong_absorbers(g: OrientedGraph, u: int, v: int) -> int:
-    """Number of strong absorbers of (u, v): the pairs (w, z) outside
-    {u, v} with arcs w->z, w->u and v->z that ``enumerate_strong_absorbers``
-    lists.  For each in-neighbour w of u it counts N+(w) & N+(v) minus
-    {u, v}; w itself needs no exclusion, since an oriented graph has no
-    loops and so w is never in N+(w)."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    out = g._out
+def _strong_count(out: Sequence[int], inn: Sequence[int], u: int, v: int,
+                  stop: float) -> int:
+    """Strong absorbers of (u, v), counted one in-neighbour w of u at a
+    time until the total reaches ``stop``.  Each w adds N+(w) & N+(v)
+    minus {u, v}; w itself needs no exclusion, since an oriented graph has
+    no loops and so w is never in N+(w)."""
     ex = ~(1 << u | 1 << v)
     from_v = out[v] & ex
     total = 0
-    for w in iter_bits(g._in[u] & ex):
+    for w in iter_bits(inn[u] & ex):
+        if total >= stop:
+            break
         total += (out[w] & from_v).bit_count()
     return total
 
 
+def _strong_need(n: int, alpha1: Fraction) -> int:
+    """ceil(alpha1 * n^2), the fewest strong absorbers that make a pair
+    alpha1-strongly absorbable, in integer arithmetic."""
+    num, den = alpha1.as_integer_ratio()
+    return -(-num * n * n // den)
+
+
+def count_strong_absorbers(g: OrientedGraph, u: int, v: int) -> int:
+    """Number of strong absorbers of (u, v): the pairs (w, z) outside
+    {u, v} with arcs w->z, w->u and v->z that ``enumerate_strong_absorbers``
+    lists."""
+    g.check_vertex(u)
+    g.check_vertex(v)
+    return _strong_count(g._out, g._in, u, v, math.inf)
+
+
 def is_strongly_absorbable(g: OrientedGraph, u: int, v: int,
                            alpha1: Fraction) -> bool:
-    """Whether (u, v) has at least alpha1 * n^2 strong absorbers."""
-    return count_strong_absorbers(g, u, v) >= Fraction(alpha1) * g.n * g.n
+    """Whether (u, v) has at least alpha1 * n^2 strong absorbers.  The
+    count stops once it reaches ceil(alpha1 * n^2), so on a dense graph one
+    or two in-neighbours of u decide."""
+    g.check_vertex(u)
+    g.check_vertex(v)
+    need = _strong_need(g.n, alpha1)
+    return _strong_count(g._out, g._in, u, v, need) >= need
+
+
+def _draw_strong_absorbers(g: OrientedGraph, v: int, avoid: int, k: int,
+                           rng: random.Random) -> list[Pair]:
+    """Up to k strong absorbers (w, z) of the single vertex v with w and z
+    outside the bitmask ``avoid``, drawn uniformly without replacement, in
+    draw order; all of them, shuffled, when fewer than k exist.
+
+    The draw is ``rng.sample`` over ranks in the ascending lexicographic
+    list of such pairs.  A rank's w is found by bisecting the prefix
+    popcounts over in(v), and its z by ``nth_bit``; the list is never built.
+    """
+    out = g._out
+    ex = ~(1 << v | avoid)
+    from_v = out[v] & ex
+    ws: list[int] = []
+    zsets: list[int] = []
+    starts: list[int] = []
+    total = 0
+    for w in iter_bits(g._in[v] & ex):
+        if zs := out[w] & from_v:
+            ws.append(w)
+            zsets.append(zs)
+            starts.append(total)
+            total += zs.bit_count()
+    picks: list[Pair] = []
+    for rank in rng.sample(range(total), min(k, total)):
+        i = bisect_right(starts, rank) - 1
+        picks.append((ws[i], nth_bit(zsets[i], rank - starts[i])))
+    return picks
 
 
 # -- weak absorbers ------------------------------------------------------------
@@ -240,35 +293,44 @@ def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
 
     All four vertices are distinct and avoid {u, v}.  Enumeration is
     ascending lexicographic; inner-pair verdicts are memoized; ``budget``
-    bounds the probed prefixes so dense instances terminate early.
+    bounds the probed prefixes (w, w', z'), every z' outside {u, v, w, w'}
+    counting as one probe, so dense instances terminate early.
     """
     _check_cap(cap)
     g.check_vertex(u)
     g.check_vertex(v)
-    ex = ~mask_of((u, v))
+    out, inn = g._out, g._in
+    need = _strong_need(g.n, alpha1)
+    ex = g.full_mask() & ~(1 << u | 1 << v)
+    from_v = out[v] & ex
+    reach = 0  # the z' with an arc into N+(v); no other z' has an exit z
+    for z in iter_bits(from_v):
+        reach |= inn[z]
     memo: dict[Pair, bool] = {}
-
-    def inner_ok(wp: int, zp: int) -> bool:
-        key = (wp, zp)
-        if key not in memo:
-            memo[key] = is_strongly_absorbable(g, wp, zp, alpha1)
-        return memo[key]
-
     found: list[tuple[int, int, int, int]] = []
-    work = 0
-    for w in iter_bits(g.in_bits(u) & ex):
-        for wp in iter_bits(g.out_bits(w) & ex & ~(1 << w)):
-            for zp in iter_bits(g.full_mask() & ex & ~mask_of((w, wp))):
-                work += 1
-                if work > budget:
-                    return found
-                zs = g.out_bits(zp) & g.out_bits(v) & ex & ~mask_of((w, wp, zp))
-                if not zs or not inner_ok(wp, zp):
+    left = max(budget, 0)
+    for w in iter_bits(inn[u] & ex):
+        for wp in iter_bits(out[w] & ex):
+            spare = ~(1 << w | 1 << wp)
+            zps = ex & spare
+            probes = zps.bit_count()
+            if probes > left:  # the budget ends inside this prefix
+                zps &= (1 << nth_bit(zps, left)) - 1
+            left -= probes
+            tails = from_v & spare
+            for zp in iter_bits(zps & reach):
+                if not (zs := out[zp] & tails):
                     continue
-                for z in iter_bits(zs):
-                    found.append((w, wp, zp, z))
-                    if cap is not None and len(found) >= cap:
-                        return found
+                ok = memo.get((wp, zp))
+                if ok is None:
+                    ok = memo[wp, zp] = _strong_count(out, inn, wp, zp, need) >= need
+                if ok:
+                    for z in iter_bits(zs):
+                        found.append((w, wp, zp, z))
+                        if cap is not None and len(found) >= cap:
+                            return found
+            if left < 0:
+                return found
     return found
 
 
@@ -469,6 +531,15 @@ class AbsorbingPath:
         """Indices of the strong gadgets that serve (u, v)."""
         return [i for i, gad in enumerate(self.strong) if gad.serves(g, u, v)]
 
+    def servable(self, g: OrientedGraph) -> frozenset[int]:
+        """The vertices off the path that some strong gadget serves: the
+        union of N+(w) & N-(z) over the strong gadgets (w, z), minus the
+        path."""
+        bits = 0
+        for gad in self.strong:
+            bits |= g._out[gad.w] & g._in[gad.z]
+        return frozenset(iter_bits(bits & ~mask_of(self.path)))
+
     def validate(self, g: OrientedGraph) -> None:
         """Assert path validity and the layout of every registry gadget."""
         if self.path:
@@ -500,6 +571,15 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
     absorbable vertex's candidates are the first ABSORB_PER_PAIR_CAP of
     them, read off the same enumeration.
 
+    Draw contract for the strong candidates: one ``random.Random`` seeded
+    with ``derive_seed(seed, "strong-pool")`` serves the strongly
+    absorbable vertices in ascending order.  Each vertex draws
+    ABSORB_PER_PAIR_CAP of its strong absorbers that avoid the weak
+    family, uniformly without replacement, as ``rng.sample`` over their
+    ranks in lexicographic order (all of them when fewer exist).  A
+    vertex draws only when the family selection reaches it, so vertices
+    after the strong family fills are never drawn.
+
     Vertices with neither gadget type are reported in ``gaps`` rather than
     raised: tiny or sparse graphs legitimately have none, and callers can
     still proceed with a degenerate (possibly empty) absorbing path.
@@ -524,17 +604,14 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
     f_weak = select_disjoint_family(weak_candidates, WEAK_TARGET)
 
     taken = {w for tup in f_weak for w in tup}
-    # shuffle each pool before capping: the lexicographic enumeration piles
-    # onto low-numbered vertices, which starves the disjointness sweep
+    # a uniform draw, not a lexicographic prefix: the prefix piles onto
+    # low-numbered w, which starves the disjointness sweep
     pool_rng = random.Random(derive_seed(seed, "strong-pool"))
-    strong_candidates: list[list[tuple[int, ...]]] = []
-    for v in strong_ok:
-        opts = [tup for tup in enumerate_strong_absorbers(
-                    g, v, v, cap=8 * ABSORB_PER_PAIR_CAP)
-                if taken.isdisjoint(tup)]
-        pool_rng.shuffle(opts)
-        strong_candidates.append(opts[:ABSORB_PER_PAIR_CAP])
-    f_strong = select_disjoint_family(strong_candidates, default_strong_target(n))
+    avoid = mask_of(taken)
+    f_strong = select_disjoint_family(
+        (_draw_strong_absorbers(g, v, avoid, ABSORB_PER_PAIR_CAP, pool_rng)
+         for v in strong_ok),
+        default_strong_target(n))
 
     # Stitch weak units first, then strong, chaining with free connectors.
     units: list[tuple[str, tuple[int, ...]]] = (

@@ -11,6 +11,7 @@ gadget enumerations are word-parallel.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -56,6 +57,20 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def nth_bit(mask: int, k: int) -> int:
+    """Position of the set bit of rank ``k`` (0-based, ascending) in
+    ``mask``, found by binary search on prefix popcounts; ``k`` must be
+    below ``mask.bit_count()``."""
+    lo, hi = 0, mask.bit_length()  # bits below lo: <= k set; below hi: > k
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (mask & ((1 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 class OrientedGraph:
@@ -287,10 +302,16 @@ class DiCycle:
 def verify_hamilton_cycle(g: OrientedGraph, cycle: "DiCycle | Iterable[int]") -> bool:
     """True iff ``cycle`` visits every vertex exactly once along arcs of ``g``.
 
-    Malformed inputs (repeats, bad ids, wrong length) yield False, never an
-    exception.  The verdict is invariant under rotation of the sequence.
+    Malformed inputs (repeats, bad ids, non-integer ids, wrong length)
+    yield False, never an exception.  Integer-like ids such as numpy
+    integers are read through ``operator.index``.  The verdict is invariant
+    under rotation of the sequence.
     """
-    vs = tuple(cycle.vertices if isinstance(cycle, DiCycle) else cycle)
+    try:
+        vs = tuple(map(operator.index,
+                       cycle.vertices if isinstance(cycle, DiCycle) else cycle))
+    except TypeError:
+        return False
     return len(vs) == g.n and DiCycle(vs).is_valid_in(g)
 
 

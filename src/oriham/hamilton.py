@@ -22,7 +22,7 @@ from .absorption import (AbsorbingPath, CapacityExhaustedError,
                          absorb_vertices, build_absorbing_path, build_reservoir,
                          connect_through_reservoir)
 from .graph import (DiCycle, DiPath, OrientedGraph, iter_bits, mask_of,
-                    verify_hamilton_cycle)
+                    nth_bit, verify_hamilton_cycle)
 from .seeds import derive_seed, rng_for
 
 
@@ -253,17 +253,8 @@ def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
 
 def _pick_bit(mask: int, rng) -> int:
     """The set bit of rank ``rng.randrange(popcount)`` in ascending order:
-    the same single draw ``rng.choice`` makes over the sorted bit list.
-    The rank is located by binary search on prefix popcounts."""
-    k = rng.randrange(mask.bit_count())
-    lo, hi = 0, mask.bit_length()  # bits below lo: <= k set; below hi: > k
-    while hi - lo > 1:
-        mid = (lo + hi) >> 1
-        if (mask & ((1 << mid) - 1)).bit_count() > k:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    the same single draw ``rng.choice`` makes over the sorted bit list."""
+    return nth_bit(mask, rng.randrange(mask.bit_count()))
 
 
 # -- absorption pipeline ---------------------------------------------------------------
@@ -318,8 +309,7 @@ def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
     }))
 
     # reservoir, preferring vertices the registry can absorb later
-    servable = frozenset(v for v in range(g.n) if v not in p_abs.vertex_set()
-                         and p_abs.hosts(g, v, v))
+    servable = p_abs.servable(g)
     res = build_reservoir(g, p_abs.vertex_set(), prefer=servable)
     trace.append(StageRecord("reservoir", True, {
         "vertices": len(res.vertices),

@@ -10,7 +10,10 @@ oracles, which take the partition and report types, the size allowance and
 the seeded random streams from the library.  ``path_cover_oracle`` is a
 set-and-list greedy path cover making the same random draws as the
 library's; it takes the result type and the seeded random streams from
-the library.
+the library.  ``weak_absorbers_reference`` is the straightforward
+bitset enumeration of weak absorbers (probe by probe, full strong counts
+compared as fractions) that the library's pruned one must reproduce,
+budget truncation included.
 """
 
 from fractions import Fraction
@@ -88,6 +91,40 @@ def weak_absorbers_oracle(g, u, v, alpha1):
         if inner_ok[key]:
             out.append((w, wp, zp, z))
     return sorted(out)
+
+
+def weak_absorbers_reference(g, u, v, alpha1, cap=None, budget=100_000):
+    """Weak absorbers of (u, v) in ascending lexicographic order, stopping
+    after ``cap`` of them or at the (budget + 1)-th probed (w, wp, zp)."""
+    ex = ~mask_of((u, v))
+    threshold = Fraction(alpha1) * g.n * g.n
+    memo = {}
+
+    def strong_count(a, b):
+        exab = ~mask_of((a, b))
+        return sum((g.out_bits(w) & g.out_bits(b) & exab).bit_count()
+                   for w in iter_bits(g.in_bits(a) & exab))
+
+    found = []
+    work = 0
+    for w in iter_bits(g.in_bits(u) & ex):
+        for wp in iter_bits(g.out_bits(w) & ex & ~(1 << w)):
+            for zp in iter_bits(g.full_mask() & ex & ~mask_of((w, wp))):
+                work += 1
+                if work > budget:
+                    return found
+                zs = g.out_bits(zp) & g.out_bits(v) & ex & ~mask_of((w, wp, zp))
+                if not zs:
+                    continue
+                if (wp, zp) not in memo:
+                    memo[wp, zp] = strong_count(wp, zp) >= threshold
+                if not memo[wp, zp]:
+                    continue
+                for z in iter_bits(zs):
+                    found.append((w, wp, zp, z))
+                    if cap is not None and len(found) >= cap:
+                        return found
+    return found
 
 
 def endpoint_table_oracle(g):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,21 @@ def test_strongly_absorbable_threshold():
     assert not is_strongly_absorbable(STRONG3, 0, 0, Fraction(1, 8))
 
 
+def test_strongly_absorbable_early_exit_keeps_verdicts():
+    # the count stops at ceil(alpha1 * n^2); the verdict must be the full
+    # count's, on every ordered pair
+    alphas = (Fraction(0), absorption.ALPHA1, Fraction(1, 64), Fraction(1, 8),
+              Fraction(1, 3))
+    for n in range(41):
+        g = random_oriented(n, (0.2, 0.5, 0.8)[n % 3], n)
+        counts = {(u, v): count_strong_absorbers(g, u, v)
+                  for u in range(n) for v in range(n)}
+        for alpha1 in alphas:
+            threshold = alpha1 * n * n
+            assert all(is_strongly_absorbable(g, u, v, alpha1) == (c >= threshold)
+                       for (u, v), c in counts.items())
+
+
 WEAK6 = OrientedGraph(6, [(2, 3), (2, 0), (4, 5), (1, 5), (1, 3)])
 
 
@@ -243,6 +259,27 @@ def test_weak_absorbers_match_oracle(seed):
     a1 = Fraction(1, 49)
     assert (enumerate_weak_absorbers(g, u, v, a1, budget=10**9)
             == _oracles.weak_absorbers_oracle(g, u, v, a1))
+
+
+@pytest.mark.parametrize("n", range(4, 25))
+def test_weak_absorbers_match_reference(n):
+    # the pruned enumeration returns what the probe-by-probe one does,
+    # truncation by cap and by budget included
+    rng = rng_for(n, "weak-reference")
+    cut = 0
+    for p in (0.3, 0.5, 0.8):
+        g = random_oriented(n, p, n)
+        for alpha1 in (absorption.ALPHA1, Fraction(1, 64), Fraction(1, 8)):
+            u = rng.randrange(n)
+            for v in (u, rng.randrange(n)):
+                full = _oracles.weak_absorbers_reference(g, u, v, alpha1, None, 10**9)
+                for cap in (None, 12):
+                    for budget in (-1, 0, 37, 400, absorption.WEAK_BUDGET):
+                        got = enumerate_weak_absorbers(g, u, v, alpha1, cap, budget)
+                        assert got == _oracles.weak_absorbers_reference(
+                            g, u, v, alpha1, cap, budget)
+                        cut += cap is None and len(got) < len(full)
+    assert cut or n < 9  # from n = 9 on, budgets 37 and 400 cut some lists
 
 
 # -- families --------------------------------------------------------------------
@@ -580,7 +617,7 @@ def test_build_dense_instance():
     g = random_min_semidegree(60, 23, 11)
     P = build_absorbing_path(g, seed=11)
     P.validate(g)
-    assert len(P.path) == 32
+    assert len(P.path) == 29
     assert len(P.strong) == default_strong_target(60)
     assert P.gaps == ()
     used = set()
@@ -619,6 +656,64 @@ def test_build_enumerates_weak_absorbers_once_per_vertex(monkeypatch):
     assert P.weak == (WeakGadget(3, 5, 0, 4),)
     assert calls == [(v, v) for v in range(g.n)
                      if not is_strongly_absorbable(g, v, v, absorption.ALPHA1)]
+
+
+def test_strong_draw_samples_ranks_of_the_lexicographic_list():
+    # the draw is rng.sample over ranks of the eligible strong absorbers in
+    # ascending order; with room for all of them it returns each once
+    for seed in range(4):
+        g = random_oriented(30, 0.6, seed)
+        pick = rng_for(seed, "avoid")
+        for v in range(g.n):
+            avoid = mask_of(pick.sample(range(g.n), 4))
+            eligible = [tup for tup in enumerate_strong_absorbers(g, v, v)
+                        if not mask_of(tup) & avoid]
+            k = absorption.ABSORB_PER_PAIR_CAP
+            want = [eligible[r] for r in random.Random(v).sample(
+                range(len(eligible)), min(k, len(eligible)))]
+            assert absorption._draw_strong_absorbers(
+                g, v, avoid, k, random.Random(v)) == want
+            every = absorption._draw_strong_absorbers(
+                g, v, avoid, len(eligible) + 1, random.Random(v))
+            assert sorted(every) == eligible
+
+
+@pytest.mark.parametrize(("n", "p", "seed"), [(9, 0.5, 2), (10, 0.7, 19), (12, 0.5, 6)])
+def test_build_draws_strong_candidates_off_the_weak_family(monkeypatch, n, p, seed):
+    g = random_oriented(n, p, seed)
+    draws = []
+    draw = absorption._draw_strong_absorbers
+
+    def recording(g, v, avoid, k, rng):
+        picks = draw(g, v, avoid, k, rng)
+        draws.append((v, avoid, picks))
+        return picks
+
+    monkeypatch.setattr(absorption, "_draw_strong_absorbers", recording)
+    P = build_absorbing_path(g, seed=seed)
+    weak = mask_of(x for gd in P.weak for x in (gd.w, gd.wp, gd.zp, gd.z))
+    assert weak and any(picks for _, _, picks in draws)
+    for v, avoid, picks in draws:
+        assert avoid & weak == weak
+        strong = set(enumerate_strong_absorbers(g, v, v))
+        assert all(tup in strong and not mask_of(tup) & avoid for tup in picks)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_build_fills_strong_target_on_dense_graph(seed):
+    # the lexicographic prefix of each vertex's absorbers held a dozen
+    # distinct w here, so the disjoint family used to fall short
+    g = random_min_semidegree(192, 72, derive_seed(1, "dense", 0))
+    P = build_absorbing_path(g, seed=derive_seed(seed, "absorb"))
+    assert len(P.strong) == default_strong_target(192)
+
+
+def test_servable_is_what_hosts_serve():
+    for g in (random_min_semidegree(60, 23, 11), random_oriented(12, 0.5, 6),
+              random_oriented(30, 0.3, 1), STRONG3):
+        P = build_absorbing_path(g, seed=3)
+        assert P.servable(g) == frozenset(
+            v for v in range(g.n) if v not in P.vertex_set() and P.hosts(g, v, v))
 
 
 def test_default_strong_target():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +23,8 @@ from oriham import (
     table_params,
     verify_hamilton_cycle,
 )
+from oriham.graph import nth_bit
+from oriham.seeds import rng_for
 
 
 def cycle_graph(n):
@@ -106,6 +109,15 @@ def test_mask_helpers():
     assert list(iter_bits(0)) == []
 
 
+def test_nth_bit_is_rank_in_iter_bits():
+    rng = rng_for(0, "masks")
+    for width in (1, 2, 7, 63, 64, 65, 200, 4096):
+        for _ in range(8):
+            mask = rng.getrandbits(width) | 1 << rng.randrange(width)
+            bits = list(iter_bits(mask))
+            assert [nth_bit(mask, k) for k in range(len(bits))] == bits
+
+
 def test_graph_equality_and_hash():
     a = OrientedGraph(3, [(0, 1), (1, 2)])
     b = OrientedGraph(3, [(1, 2), (0, 1)])
@@ -186,6 +198,20 @@ def test_verify_hamilton_cycle():
     assert not verify_hamilton_cycle(C3, [0, 1, 1])
     assert not verify_hamilton_cycle(C3, [0, 1, 3])
     assert not verify_hamilton_cycle(C3, [])
+
+
+def test_verify_hamilton_cycle_numpy_vertices():
+    # n > 63: a shift by np.int64 used to overflow inside has_arc
+    g = cycle_graph(70)
+    assert verify_hamilton_cycle(g, np.arange(70))
+    assert verify_hamilton_cycle(g, DiCycle(tuple(np.arange(70, dtype=np.int32))))
+    assert not verify_hamilton_cycle(g, np.arange(70)[::-1])
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None, (1,)])
+def test_verify_hamilton_cycle_non_integer_vertex(bad):
+    assert not verify_hamilton_cycle(C3, [0, bad, 2])
+    assert not verify_hamilton_cycle(cycle_graph(70), [bad] + list(range(1, 70)))
 
 
 @given(st.integers(3, 9), st.integers(0, 8))

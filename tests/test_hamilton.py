@@ -402,16 +402,25 @@ def test_pipeline_at_size_cap():
     assert verify_hamilton_cycle(g, res.certificate.vertices)
 
 
+def test_pipeline_finds_cycle_at_n512_seed3():
+    # the strong family used to fall short here, and absorb found no
+    # free gadget for vertex 29
+    g = random_min_semidegree(512, 192, 3)
+    res = find_hamilton_absorption(g, seed=0)
+    assert res.verdict == "cycle_found"
+    assert verify_hamilton_cycle(g, res.certificate.vertices)
+
+
 # sha256 of json.dumps(result.to_json_dict(), sort_keys=True) for
 # find_hamilton_absorption(random_min_semidegree(n, ceil(3n/8), s), seed=s):
 # any drift in the pipeline's seeded draws changes these
 PINNED_SOLVES = {
-    (48, 1): "7e08a147cf06470c846277db0f6a179740195f07737abb87828fd06728d0e235",
-    (48, 2): "fca062e28be7039141d80e1d1c2abd314bcca133598b03e81add0eb5c07b0d5d",
-    (64, 1): "50b376e469dde82c85c4a5a9eca143b5ba2abdef83930df0112464566d80112d",
-    (64, 2): "613e8e766f40da85426774a1421f8c6ffd45e855e101de7e94e3289836be7f21",
-    (96, 1): "be419e85bcca55248ba9ad6bbab3fb8cfd3d74feee54d73ada7d4557d0f046b2",
-    (96, 2): "033a99de1ae2eb2b911058e353409e8c2d206f51e9dda7393e419869e2948cef",
+    (48, 1): "6a78300ec72e5501747931095c1b999ef02aac9abfaef16c911f2e831dedabae",
+    (48, 2): "a308935384bbe069cc66a3b56caaf41c57e5ea4c333e1cffecc99944fae24699",
+    (64, 1): "7d24ee4aa93ca2a8578bb4946ffd5323e973a6252a44a0ebe220ad621235fec2",
+    (64, 2): "12c99770078e6aefb1d33b32d9acbfdb5ce7f0666a1f3da5eaddfd56d5a190c2",
+    (96, 1): "cb18fa64bde4236751786e5a1abf7e8dd98af5e9ef7a6289cf45ff25cc7c3629",
+    (96, 2): "ab58a9b9f9c754cb0bb3eba3288098e1fa6be6cd7961389fdc9f6046024b98aa",
 }
 
 
