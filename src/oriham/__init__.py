@@ -10,12 +10,10 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .graph import (CLASS_LABELS, MAX_VERTICES, ContractionResult, DiCycle,
-                    DiPath, EndpointsNotInSameClassError, GraphError,
+from .graph import (MAX_VERTICES, DiCycle, DiPath, GraphError,
                     InvalidPathError, OrientedGraph, OutOfRangeError,
-                    Partition4, SelfLoopError, TwoCycleError, contract_path,
-                    iter_bits, mask_of, strongly_connected,
-                    verify_hamilton_cycle)
+                    Partition4, SelfLoopError, TwoCycleError, iter_bits,
+                    mask_of, strongly_connected, verify_hamilton_cycle)
 from .fileio import EdgeListParseError, emit_edge_list, parse_edge_list
 from .conditions import (ConditionReport, HypothesisViolatedError, check_ore,
                          check_ghouila_houri, check_nash_williams,

@@ -53,11 +53,10 @@ WEAK_BUDGET = 100_000
 
 
 class NoConnectorAvailableError(LookupError):
-    def __init__(self, x: int, y: int, used: frozenset[int]):
+    def __init__(self, x: int, y: int, consumed: int):
         super().__init__(f"no connector for ({x}, {y}) in unused reservoir "
-                         f"({len(used)} vertices already consumed)")
+                         f"({consumed} vertices already consumed)")
         self.pair = (x, y)
-        self.used = used
 
 
 class StitchFailureError(RuntimeError):
@@ -469,7 +468,7 @@ def connect_through_reservoir(g: OrientedGraph, res: Reservoir,
     if inner is None:
         inner = _connector_within(g, x, y, avail)
     if inner is None:
-        raise NoConnectorAvailableError(x, y, frozenset(res.ledger))
+        raise NoConnectorAvailableError(x, y, len(res.ledger))
     res.ledger.update(inner)
     return DiPath((x, *inner, y))
 

@@ -33,7 +33,7 @@ from .extremal import (InfeasibleParamsError, PartitionNotCoveringError,
                        verify_partition)
 from .fileio import EdgeListParseError, emit_edge_list, parse_edge_list
 from .generators import random_min_semidegree, random_oriented
-from .graph import GraphError, OrientedGraph, Partition4
+from .graph import GraphError, OrientedGraph, OutOfRangeError, Partition4
 from .hamilton import (DP_MAX_N, TooLargeError, exact_brute, exact_dp,
                        find_hamilton_absorption)
 from .seeds import derive_seed
@@ -188,7 +188,7 @@ def _load_graph(path: str) -> OrientedGraph:
         raise UsageError(f"{path}: {exc}")
 
 
-def _load_partition(path: str, g: OrientedGraph) -> Partition4:
+def _load_partition(path: str) -> Partition4:
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -202,7 +202,7 @@ def _load_partition(path: str, g: OrientedGraph) -> Partition4:
     if not isinstance(payload, dict) or set(payload) != {"A", "B", "C", "D"}:
         raise UsageError(f"{path}: expected an object with keys A, B, C, D")
     classes = [payload[label] for label in "ABCD"]
-    if not all(isinstance(xs, list) and all(isinstance(v, int) for v in xs)
+    if not all(isinstance(xs, list) and all(type(v) is int for v in xs)
                for xs in classes):
         raise UsageError(f"{path}: each class must be a list of vertex ids")
     try:
@@ -259,10 +259,12 @@ def cmd_check(args) -> int:
         if args.condition == "sparse-set":
             if args.set is None or args.sigma is None:
                 raise UsageError("sparse-set requires --set and --sigma")
+            for v in args.set:
+                g.check_vertex(v)
             report = check_sparse_set_bound(g, set(args.set), args.sigma)
         else:
             report = _CHECKS[args.condition](g)
-    except HypothesisViolatedError as exc:
+    except (HypothesisViolatedError, OutOfRangeError) as exc:
         raise UsageError(str(exc))
     _emit({"schema": SCHEMA, "report": report.to_json_dict()}, args.out)
     return EXIT_OK if report.satisfied else EXIT_NEGATIVE
@@ -270,7 +272,7 @@ def cmd_check(args) -> int:
 
 def cmd_score_partition(args) -> int:
     g = _load_graph(args.input)
-    part = _load_partition(args.partition, g)
+    part = _load_partition(args.partition)
     try:
         report = verify_partition(g, part, args.eta, args.ceta)
     except PartitionNotCoveringError as exc:
@@ -331,8 +333,18 @@ def cmd_solve(args) -> int:
 # -- sweep --------------------------------------------------------------------
 
 
+def _value(entry: dict, key: str, default=None, convert=int):
+    """``convert`` of the entry's ``key``, or of ``default`` if the key is
+    optional and absent; a failed conversion is a ValueError naming the key."""
+    value = entry[key] if default is None else entry.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{key} = {value!r}: {exc}") from None
+
+
 def _sweep_sharpness(entry: dict, seed: int) -> dict:
-    n, a = int(entry["n"]), int(entry["a"])
+    n, a = _value(entry, "n"), _value(entry, "a")
     params = table_params(n, a, seed=seed)
     g, part = generate_extremal(params)
     pair = find_sharp_pair(g, params.bound)
@@ -345,9 +357,9 @@ def _sweep_sharpness(entry: dict, seed: int) -> dict:
 
 
 def _sweep_robustness(entry: dict, seed: int) -> dict:
-    n, a = int(entry["n"]), int(entry["a"])
-    ac_extra = int(entry.get("ac_extra", 0))
-    d_extra = int(entry.get("d_extra", 0))
+    n, a = _value(entry, "n"), _value(entry, "a")
+    ac_extra = _value(entry, "ac_extra", 0)
+    d_extra = _value(entry, "d_extra", 0)
     rounds = _count(entry, "seeds", 20)
     found = 0
     for i in range(rounds):
@@ -363,8 +375,8 @@ def _sweep_robustness(entry: dict, seed: int) -> dict:
 def _sizes(entry: dict, n_min: int, n_max: int) -> range:
     """The entry's vertex counts n_min..n_max (defaults as given); instance
     seed ``inst`` draws ``sizes[inst % len(sizes)]``."""
-    n_min = int(entry.get("n_min", n_min))
-    n_max = int(entry.get("n_max", n_max))
+    n_min = _value(entry, "n_min", n_min)
+    n_max = _value(entry, "n_max", n_max)
     if not 0 <= n_min <= n_max:
         raise ValueError(f"size range n_min = {n_min}, n_max = {n_max} "
                          "is empty or negative")
@@ -373,7 +385,7 @@ def _sizes(entry: dict, n_min: int, n_max: int) -> range:
 
 def _count(entry: dict, key: str, default: int) -> int:
     """The entry's ``key`` (default as given), which must not be negative."""
-    value = int(entry.get(key, default))
+    value = _value(entry, key, default)
     if value < 0:
         raise ValueError(f"{key} = {value} is negative")
     return value
@@ -382,7 +394,7 @@ def _count(entry: dict, key: str, default: int) -> int:
 def _sweep_oracle(entry: dict, seed: int) -> dict:
     count = _count(entry, "count", 50)
     sizes = _sizes(entry, 5, 9)
-    prob = float(Fraction(str(entry.get("arc_prob", "1/2"))))
+    prob = _value(entry, "arc_prob", "1/2", lambda x: float(Fraction(str(x))))
     disagreements = 0
     for i in range(count):
         inst = derive_seed(seed, "oracle", i)
@@ -397,7 +409,7 @@ def _sweep_oracle(entry: dict, seed: int) -> dict:
 def _sweep_pipeline(entry: dict, seed: int) -> dict:
     count = _count(entry, "count", 20)
     sizes = _sizes(entry, 24, 64)
-    min_rate = Fraction(str(entry.get("min_rate", "9/10")))
+    min_rate = _value(entry, "min_rate", "9/10", lambda x: Fraction(str(x)))
     successes = 0
     for i in range(count):
         inst = derive_seed(seed, "pipeline", i)

@@ -233,9 +233,6 @@ class ExtremalityReport:
     def min_slack(self) -> Fraction:
         return min(self.slacks.values())
 
-    def failing(self) -> list[str]:
-        return sorted(name for name, s in self.slacks.items() if s < 0)
-
     def to_json_dict(self) -> dict:
         return {
             "eta": frac_json(self.eta),

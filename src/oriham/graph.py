@@ -40,10 +40,6 @@ class InvalidPathError(GraphError):
     """A vertex sequence is not a directed path in the graph."""
 
 
-class EndpointsNotInSameClassError(GraphError):
-    """Path contraction requires both endpoints in one partition class."""
-
-
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -147,12 +143,6 @@ class OrientedGraph:
         and the connector searches range over."""
         return self.full_mask() & ~self.out_bits(x) & ~(1 << x)
 
-    def out_neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.out_bits(v))
-
-    def in_neighbors(self, v: int) -> Iterator[int]:
-        return iter_bits(self.in_bits(v))
-
     def out_degree(self, v: int) -> int:
         return self.out_bits(v).bit_count()
 
@@ -173,9 +163,6 @@ class OrientedGraph:
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs sorted lexicographically."""
         return [(u, v) for u in range(self.n) for v in iter_bits(self._out[u])]
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def adjacency_matrix(self) -> np.ndarray:
         """n x n uint8 matrix with entry [u, v] = 1 exactly for arcs u->v."""
@@ -263,13 +250,6 @@ class DiPath:
     def end(self) -> int:
         return self.vertices[-1]
 
-    def is_valid_in(self, g: OrientedGraph) -> bool:
-        try:
-            self.validate(g)
-        except GraphError:
-            return False
-        return True
-
     def validate(self, g: OrientedGraph) -> None:
         if not self.vertices:
             raise InvalidPathError("empty path")
@@ -317,8 +297,6 @@ def verify_hamilton_cycle(g: OrientedGraph, cycle: "DiCycle | Iterable[int]") ->
 
 # -- vertex partitions ---------------------------------------------------------
 
-CLASS_LABELS = ("A", "B", "C", "D")
-
 
 @dataclass(frozen=True)
 class Partition4:
@@ -351,106 +329,11 @@ class Partition4:
                 return label
         raise KeyError(f"vertex {v} not in any class")
 
-    def nonempty_labels(self) -> list[str]:
-        return [label for label in CLASS_LABELS if self.classes()[label]]
-
     def covers(self, g: OrientedGraph) -> bool:
         return self.support() == frozenset(range(g.n))
 
     def sizes(self) -> dict[str, int]:
         return {label: len(xs) for label, xs in self.classes().items()}
-
-
-# -- path contraction ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ContractionResult:
-    """Outcome of contracting a path into a single fresh vertex.
-
-    ``old_to_new`` maps every surviving original vertex id to its id in the
-    contracted graph; ``new_vertex`` is the fresh id replacing the path and
-    ``contracted`` records the original path for lifting cycles back.
-    """
-
-    graph: OrientedGraph
-    partition: Partition4
-    new_vertex: int
-    old_to_new: dict[int, int]
-    contracted: tuple[int, ...]
-
-    def lift_cycle(self, cycle: "DiCycle | Iterable[int]") -> list[int]:
-        """Map a cycle of the contracted graph back to original vertex ids.
-
-        The fresh vertex expands to the full contracted path; every other
-        vertex maps through the inverse of ``old_to_new``.
-        """
-        vs = tuple(cycle.vertices if isinstance(cycle, DiCycle) else cycle)
-        back = {new: old for old, new in self.old_to_new.items()}
-        lifted: list[int] = []
-        for v in vs:
-            if v == self.new_vertex:
-                lifted.extend(self.contracted)
-            else:
-                lifted.append(back[v])
-        return lifted
-
-
-def contract_path(g: OrientedGraph, part: Partition4, path: DiPath) -> ContractionResult:
-    """Contract a directed path whose endpoints share a partition class.
-
-    The path is removed and replaced by one fresh vertex p placed in the
-    endpoints' class.  p inherits the in-neighbours of the path's first
-    vertex lying in the cyclically previous nonempty class, and the
-    out-neighbours of the last vertex lying in the cyclically next nonempty
-    class; the cyclic order runs through the nonempty classes of
-    (A, B, C, D).  All other vertices keep their arcs.  Ids are re-packed
-    densely; the fresh vertex takes the largest id.
-    """
-    path.validate(g)
-    if not part.support() <= frozenset(range(g.n)):
-        raise OutOfRangeError("partition mentions vertices outside the graph")
-    first, last = path.start, path.end
-    label = part.class_of(first)
-    if part.class_of(last) != label:
-        raise EndpointsNotInSameClassError(
-            f"endpoints {first} ({label}) and {last} ({part.class_of(last)}) differ")
-
-    order = part.nonempty_labels()
-    idx = order.index(label)
-    next_label = order[(idx + 1) % len(order)]
-    prev_label = order[(idx - 1) % len(order)]
-
-    removed = set(path.vertices)
-    survivors = [v for v in range(g.n) if v not in removed]
-    old_to_new = {old: i for i, old in enumerate(survivors)}
-    p_new = len(survivors)
-    n_new = p_new + 1
-
-    arcs: list[tuple[int, int]] = []
-    for u in survivors:
-        for v in iter_bits(g.out_bits(u)):
-            if v not in removed:
-                arcs.append((old_to_new[u], old_to_new[v]))
-    out_targets = (set(iter_bits(g.out_bits(last))) & part.classes()[next_label]) - removed
-    in_sources = (set(iter_bits(g.in_bits(first))) & part.classes()[prev_label]) - removed
-    arcs.extend((p_new, old_to_new[v]) for v in out_targets)
-    arcs.extend((old_to_new[v], p_new) for v in in_sources)
-
-    new_classes = {
-        lab: frozenset(old_to_new[v] for v in xs if v not in removed)
-        for lab, xs in part.classes().items()
-    }
-    new_classes[label] = new_classes[label] | {p_new}
-    new_part = Partition4(new_classes["A"], new_classes["B"],
-                          new_classes["C"], new_classes["D"])
-    return ContractionResult(
-        graph=OrientedGraph(n_new, arcs),
-        partition=new_part,
-        new_vertex=p_new,
-        old_to_new=old_to_new,
-        contracted=tuple(path.vertices),
-    )
 
 
 # -- connectivity --------------------------------------------------------------

@@ -120,6 +120,17 @@ def test_check_sparse_set_hypothesis_violation(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("ids", ["99", "-1", "0,12"])
+def test_check_sparse_set_id_out_of_range(tmp_path, capsys, ids):
+    g, _ = generate_extremal(table_params(12, 0))
+    path = write_graph(tmp_path, g)
+    rc, out, err = run(capsys, ["check", "--condition", "sparse-set",
+                                "--input", path, "--set", ids, "--sigma", "0"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "outside [0, 12)" in err
+
+
 def test_check_missing_file(capsys):
     rc, _, err = run(capsys, ["check", "--condition", "ore",
                               "--input", "/no/such/file"])
@@ -197,6 +208,17 @@ def test_score_partition_bad_classes(tmp_path, capsys):
                                   "--partition", str(pfile), "--eta", "1/20"])
         assert rc == 2
         assert message in err
+
+
+def test_score_partition_rejects_boolean_ids(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(4))
+    pfile = tmp_path / "classes.json"
+    pfile.write_text('{"A": [], "B": [0, true, 2, 3], "C": [], "D": []}')
+    rc, out, err = run(capsys, ["score-partition", "--input", path,
+                                "--partition", str(pfile), "--eta", "1/20"])
+    assert rc == 2
+    assert out == ""
+    assert "vertex ids" in err
 
 
 def test_score_partition_bug_is_not_usage_error(tmp_path, capsys, monkeypatch):
@@ -390,6 +412,21 @@ def test_sweep_rejects_negative_counts(tmp_path, capsys):
         "ValueError: count = -2 is negative",
         "ValueError: seeds = -1 is negative",
     ]
+
+
+@pytest.mark.parametrize("entry, key", [
+    ({"kind": "oracle", "arc_prob": "1/0"}, "arc_prob"),
+    ({"kind": "pipeline", "min_rate": "1/0"}, "min_rate"),
+    ({"kind": "sharpness", "n": 1e999, "a": 0}, "n"),
+])
+def test_sweep_bad_number_is_row_error(tmp_path, capsys, entry, key):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([entry, {"kind": "oracle", "count": 0}]))
+    rc, out, _ = run(capsys, ["sweep", "--spec", str(spec)])
+    assert rc == 3
+    rows = json.loads(out)["rows"]
+    assert [r["ok"] for r in rows] == [False, True]
+    assert rows[0]["error"].startswith(f"ValueError: {key} = ")
 
 
 def test_sweep_unknown_kind(tmp_path, capsys):

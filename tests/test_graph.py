@@ -6,15 +6,12 @@ from hypothesis import strategies as st
 from oriham import (
     DiCycle,
     DiPath,
-    EndpointsNotInSameClassError,
     InvalidPathError,
     OrientedGraph,
     OutOfRangeError,
     Partition4,
     SelfLoopError,
     TwoCycleError,
-    contract_path,
-    exact_brute,
     generate_extremal,
     iter_bits,
     mask_of,
@@ -79,8 +76,6 @@ def test_vertex_out_of_range():
 
 def test_degrees_cycle():
     assert C3.degrees(0) == (1, 1)
-    assert list(C3.out_neighbors(0)) == [1]
-    assert list(C3.in_neighbors(0)) == [2]
     assert C3.min_semidegree() == 1
 
 
@@ -155,8 +150,8 @@ def test_insertion_never_creates_two_cycles(pairs):
     for u, v in g.arcs():
         assert u != v
         assert not g.has_arc(v, u)
-    assert sum(g.out_degree(v) for v in g.vertices()) == g.arc_count
-    assert sum(g.in_degree(v) for v in g.vertices()) == g.arc_count
+    assert sum(g.out_degree(v) for v in range(g.n)) == g.arc_count
+    assert sum(g.in_degree(v) for v in range(g.n)) == g.arc_count
 
 
 # -- paths and cycles ----------------------------------------------------------
@@ -166,8 +161,9 @@ def test_dipath_basic():
     p = DiPath((0, 1, 2))
     assert p.start == 0
     assert p.end == 2
-    assert p.is_valid_in(C3)
-    assert not DiPath((0, 2, 1)).is_valid_in(C3)
+    p.validate(C3)
+    with pytest.raises(InvalidPathError):
+        DiPath((0, 2, 1)).validate(C3)
 
 
 def test_dipath_rejects_repeats():
@@ -232,7 +228,6 @@ def test_partition_of_and_lookup():
     assert part.support() == frozenset(range(5))
     assert part.covers(OrientedGraph.empty(5))
     assert not part.covers(OrientedGraph.empty(6))
-    assert part.nonempty_labels() == ["A", "B", "C", "D"]
 
 
 def test_partition_rejects_overlap():
@@ -248,79 +243,7 @@ def test_partition_class_of_missing():
 
 def test_partition_empty_classes():
     part = Partition4.of([0, 1], [], [2], [])
-    assert part.nonempty_labels() == ["A", "C"]
     assert part.sizes() == {"A": 2, "B": 0, "C": 1, "D": 0}
-
-
-# -- contraction ---------------------------------------------------------------
-
-
-def test_contract_singleton_in_four_cycle():
-    c4 = cycle_graph(4)
-    part = Partition4.of([0], [1], [2], [3])
-    res = contract_path(c4, part, DiPath((1,)))
-    assert res.graph.n == 4
-    assert res.graph.arcs() == [(0, 3), (1, 2), (2, 0), (3, 1)]
-    assert res.new_vertex == 3
-    assert res.old_to_new == {0: 0, 2: 1, 3: 2}
-    assert res.contracted == (1,)
-    found = exact_brute(res.graph)
-    assert found.certificate is not None
-    lifted = res.lift_cycle(found.certificate)
-    assert verify_hamilton_cycle(c4, lifted)
-
-
-def test_contract_drops_arcs_outside_neighbor_classes():
-    c4 = cycle_graph(4).add_arc(1, 3)
-    part = Partition4.of([0], [1], [2], [3])
-    res = contract_path(c4, part, DiPath((1,)))
-    # the 1->3 chord leaves class B for D, not C, so it does not survive
-    assert res.graph.arcs() == [(0, 3), (1, 2), (2, 0), (3, 1)]
-
-
-def test_contract_two_vertex_path():
-    g = OrientedGraph(6, [(0, 2), (1, 0), (2, 3), (3, 4), (4, 5), (5, 0), (5, 1)])
-    part = Partition4.of([0, 1], [2, 3], [4], [5])
-    res = contract_path(g, part, DiPath((2, 3)))
-    assert res.graph.n == 5
-    assert res.new_vertex == 4
-    assert res.old_to_new == {0: 0, 1: 1, 4: 2, 5: 3}
-    assert res.graph.arcs() == [(0, 4), (1, 0), (2, 3), (3, 0), (3, 1), (4, 2)]
-    assert sorted(res.partition.B) == [4]
-    assert sorted(res.partition.A) == [0, 1]
-    assert sorted(res.partition.C) == [2]
-    assert sorted(res.partition.D) == [3]
-    assert verify_hamilton_cycle(res.graph, [0, 4, 2, 3, 1])
-    lifted = res.lift_cycle([0, 4, 2, 3, 1])
-    assert lifted == [0, 2, 3, 4, 5, 1]
-    assert verify_hamilton_cycle(g, lifted)
-
-
-def test_contract_requires_one_class():
-    g = cycle_graph(4)
-    part = Partition4.of([0], [1], [2], [3])
-    with pytest.raises(EndpointsNotInSameClassError):
-        contract_path(g, part, DiPath((1, 2)))
-
-
-def test_contract_requires_valid_path():
-    g = cycle_graph(4)
-    part = Partition4.of([0, 2], [1, 3], [], [])
-    with pytest.raises(InvalidPathError):
-        contract_path(g, part, DiPath((1, 3)))
-
-
-def test_contract_preserves_negative_verdict():
-    params = table_params(7, 0)
-    g, part = generate_extremal(params)
-    inner = sorted(part.C)
-    path = DiPath((inner[0], inner[1]))
-    if not path.is_valid_in(g):
-        path = DiPath((inner[1], inner[0]))
-    res = contract_path(g, part, path)
-    assert res.graph.n == 6
-    assert exact_brute(g).verdict == "none_exists"
-    assert exact_brute(res.graph).verdict == "none_exists"
 
 
 # -- connectivity ---------------------------------------------------------------

@@ -2,9 +2,10 @@
 ``python -O`` strips it and a check written as one would vanish, and no
 handler that catches every exception (a bare ``except:``, ``except
 Exception`` or ``except BaseException``), which would hide a bug as an
-expected error."""
+expected error, and no exported name that nothing uses."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,26 @@ def test_rules_flag_each_form():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_source_has_no_assert_or_broad_except(path):
     assert _violations(path.read_text()) == []
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def test_every_export_is_used():
+    """Each name that ``oriham/__init__.py`` imports is used by the package
+    or the benchmark harness: it appears in ``src/oriham/*.py`` (the
+    ``__init__`` aside) or ``perfbench/*.py`` on a line that does not
+    define it."""
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    lines = [line for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+             if path.name != "__init__.py" for line in path.read_text().splitlines()]
+    unused = []
+    for name in exported:
+        word = re.escape(name)
+        used = re.compile(rf"\b{word}\b")
+        definition = re.compile(rf"\s*((def|class)\s+{word}\b|{word}\s*(:|=(?!=)))")
+        if not any(used.search(line) and not definition.match(line) for line in lines):
+            unused.append(name)
+    assert unused == []
