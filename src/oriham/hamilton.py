@@ -11,7 +11,6 @@ or "not found" (with the first failing stage), never "none exists".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -174,81 +173,67 @@ def exact_dp(g: OrientedGraph, max_n: int = DP_MAX_N) -> HamiltonResult:
 class CoverResult:
     paths: tuple[DiPath, ...]
     uncovered: frozenset[int]
-    pool_size: int
     truncated: bool
-
-    def covered_fraction(self) -> Fraction:
-        if self.pool_size == 0:
-            return Fraction(1)
-        return Fraction(self.pool_size - len(self.uncovered), self.pool_size)
 
 
 def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
-                      max_paths: int, seed: int = 0,
-                      restarts: int = 8) -> CoverResult:
+                      max_paths: int, seed: int = 0) -> CoverResult:
     """Cover V(G) minus ``avoid`` by few vertex-disjoint directed paths.
 
-    Each seeded restart grows paths by tail/head extension plus insertion
-    between consecutive path vertices; the cover with fewest paths wins.
-    Covers needing more than ``max_paths`` paths are truncated to the
-    longest ones and flagged.
+    Paths grow by tail/head extension plus insertion between consecutive
+    path vertices.  Covers needing more than ``max_paths`` paths are
+    truncated to the longest ones and flagged.
 
     Every random pick (a path's start, a tail or head extension) is one
     ``rng.randrange(k)`` over its k candidates, indexing them in ascending
-    vertex order (``_pick_bit``); insertion is deterministic.  That draw
-    contract fixes the cover a seed produces.
+    vertex order (``_pick_bit``), from the stream ``rng_for(seed, "cover",
+    0)``; insertion is deterministic.  That draw contract fixes the cover a
+    seed produces.
     """
     pool = [v for v in range(g.n) if v not in avoid]
     if not pool:
-        return CoverResult((), frozenset(), 0, False)
+        return CoverResult((), frozenset(), False)
     out, inn = g._out, g._in
-
-    def attempt(rng) -> list[list[int]]:
-        rem = mask_of(pool)
-        paths: list[list[int]] = []
-        while rem:
-            start = _pick_bit(rem, rng)
-            rem ^= 1 << start
-            path = [start]
-            on_path = 1 << start
-            while True:
-                if opts := out[path[-1]] & rem:
-                    w = _pick_bit(opts, rng)
-                    path.append(w)
-                elif opts := inn[path[0]] & rem:
-                    w = _pick_bit(opts, rng)
-                    path.insert(0, w)
-                else:
-                    # insert the smallest w with arcs path[i] -> w -> path[i + 1],
-                    # at the smallest such i; stop when there is none
-                    body = on_path ^ 1 << path[-1]
-                    pos = {p: i for i, p in enumerate(path)}
-                    for w in iter_bits(rem):
-                        succ = out[w]
-                        spots = [pos[p] for p in iter_bits(inn[w] & body)
-                                 if succ >> path[pos[p] + 1] & 1]
-                        if spots:
-                            path.insert(min(spots) + 1, w)
-                            break
-                    else:
+    rng = rng_for(seed, "cover", 0)
+    rem = mask_of(pool)
+    paths: list[list[int]] = []
+    while rem:
+        start = _pick_bit(rem, rng)
+        rem ^= 1 << start
+        path = [start]
+        on_path = 1 << start
+        while True:
+            if opts := out[path[-1]] & rem:
+                w = _pick_bit(opts, rng)
+                path.append(w)
+            elif opts := inn[path[0]] & rem:
+                w = _pick_bit(opts, rng)
+                path.insert(0, w)
+            else:
+                # insert the smallest w with arcs path[i] -> w -> path[i + 1],
+                # at the smallest such i; stop when there is none
+                body = on_path ^ 1 << path[-1]
+                pos = {p: i for i, p in enumerate(path)}
+                for w in iter_bits(rem):
+                    succ = out[w]
+                    spots = [pos[p] for p in iter_bits(inn[w] & body)
+                             if succ >> path[pos[p] + 1] & 1]
+                    if spots:
+                        path.insert(min(spots) + 1, w)
                         break
-                rem ^= 1 << w
-                on_path |= 1 << w
-            paths.append(path)
-        return paths
+                else:
+                    break
+            rem ^= 1 << w
+            on_path |= 1 << w
+        paths.append(path)
 
-    best = min((attempt(rng_for(seed, "cover", r)) for r in range(max(1, restarts))),
-               key=len)
-
-    truncated = len(best) > max_paths
+    truncated = len(paths) > max_paths
     if truncated:
-        keep = set(map(tuple, sorted(best, key=len, reverse=True)[:max_paths]))
-        kept = [p for p in best if tuple(p) in keep]
-    else:
-        kept = best
-    covered = {v for p in kept for v in p}
-    return CoverResult(tuple(DiPath(tuple(p)) for p in kept),
-                       frozenset(pool) - covered, len(pool), truncated)
+        keep = set(map(tuple, sorted(paths, key=len, reverse=True)[:max_paths]))
+        paths = [p for p in paths if tuple(p) in keep]
+    covered = {v for p in paths for v in p}
+    return CoverResult(tuple(DiPath(tuple(p)) for p in paths),
+                       frozenset(pool) - covered, truncated)
 
 
 def _pick_bit(mask: int, rng) -> int:
@@ -260,26 +245,26 @@ def _pick_bit(mask: int, rng) -> int:
 # -- absorption pipeline ---------------------------------------------------------------
 
 
-# Pipeline constants: the cover keeps at most MAX_PATHS paths and its first
-# build takes the best of COVER_RESTARTS seeded attempts; stitching is tried
-# STITCH_ATTEMPTS times; at most LEFTOVER_RATIO * |absorbing path| leftovers
-# are handed to the absorb stage.  Graphs above PIPELINE_MAX_N vertices
-# are refused.
+# Pipeline constants: the cover keeps at most MAX_PATHS paths; cover, stitch
+# and absorb are tried together up to STITCH_ATTEMPTS times, and the first
+# attempt that absorbs its leftovers wins.  Graphs above PIPELINE_MAX_N
+# vertices are refused.
 MAX_PATHS = 12
-COVER_RESTARTS = 8
 STITCH_ATTEMPTS = 12
-LEFTOVER_RATIO = Fraction(1, 4)
 PIPELINE_MAX_N = 512
 
 
 def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
     """Heuristic Hamilton-cycle search by absorption.
 
-    Stages: build an absorbing path, reserve connectors, cover the rest
-    with few paths, stitch everything cyclically through the reservoir,
-    absorb unused reservoir vertices and uncovered vertices into the
-    absorbing path, then verify.  A failure reports the first failing
-    stage in the trace; the verdict is never "none_exists".
+    Stages: build an absorbing path and reserve connectors, then make up
+    to STITCH_ATTEMPTS attempts of three steps each: cover the rest with
+    few paths, stitch everything cyclically through the reservoir, and
+    absorb the unused reservoir vertices and uncovered vertices into the
+    absorbing path.  The first attempt that absorbs is verified and
+    returned.  A failure reports the first failing stage in the trace:
+    ``stitch`` when no attempt stitched, else ``absorb`` from the last
+    attempt that stitched.  The verdict is never "none_exists".
     """
     if g.n > PIPELINE_MAX_N:
         raise TooLargeError(f"n = {g.n} exceeds pipeline cap {PIPELINE_MAX_N}")
@@ -316,73 +301,62 @@ def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
         "servable_share": len(res.vertices & servable),
     }))
 
-    # path cover and cyclic stitching, retried jointly: each retry rerolls
-    # the cover (fresh path endpoints) and odd attempts drain leftover
-    # reservoir vertices into junction links to shrink the absorb load
+    # each attempt rerolls the cover (fresh path endpoints) and the stitch
+    # order; odd attempts drain leftover reservoir vertices into junction
+    # links to shrink the absorb load
     excluded = p_abs.vertex_set() | res.vertices
-    cover = greedy_path_cover(g, excluded, MAX_PATHS,
-                              derive_seed(seed, "cover", 0), COVER_RESTARTS)
-    best = None
+    last = None  # (cover and stitch records, absorb failure) of the last stitch
     for attempt in range(STITCH_ATTEMPTS):
-        if attempt:
-            cover = greedy_path_cover(g, excluded, MAX_PATHS,
-                                      derive_seed(seed, "cover", attempt), 1)
-        rng = None if attempt == 0 else rng_for(seed, "stitch", attempt)
-        stitched = _attempt_stitch(g, p_abs, cover.paths, res, rng,
+        cover = greedy_path_cover(g, excluded, MAX_PATHS,
+                                  derive_seed(seed, "cover", attempt))
+        stitched = _attempt_stitch(g, p_abs, cover.paths, res,
+                                   rng_for(seed, "stitch", attempt),
                                    drain=attempt % 2 == 1)
         if stitched is None:
             continue
         seq, used = stitched
-        left = sorted((res.vertices - used) | cover.uncovered)
-        if best is None or len(left) < len(best[0]):
-            best = (left, seq, used, cover)
-        if not left:
-            break
-    if best is not None:
-        leftovers, cycle_seq, used_reservoir, cover = best
-    trace.append(StageRecord("cover", True, {
-        "paths": len(cover.paths),
-        "uncovered": len(cover.uncovered),
-        "truncated": cover.truncated,
-    }))
-    if best is None:
+        done = (_cover_record(cover),
+                StageRecord("stitch", True, {"reservoir_used": len(used)}))
+        leftovers = sorted((res.vertices - used) | cover.uncovered)
+        try:
+            grown = absorb_vertices(g, p_abs, leftovers)
+        except (CapacityExhaustedError, VertexNotAbsorbableError) as exc:
+            last = done, {"leftovers": len(leftovers), "reason": str(exc)}
+            continue
+        trace.extend(done)
+        if tuple(seq[:len(p_abs.path)]) != p_abs.path:
+            raise CertificateError("stitched sequence does not start with "
+                                   "the absorbing path")
+        trace.append(StageRecord("absorb", True, {"absorbed": len(leftovers)}))
+        cycle = DiCycle(tuple(grown.path) + tuple(seq[len(p_abs.path):]))
+        if not verify_hamilton_cycle(g, cycle):
+            return fail("close", {"reason": "assembled sequence failed verification"})
+        trace.append(StageRecord("close", True, {"length": len(cycle.vertices)}))
+        return HamiltonResult("cycle_found", cycle, tuple(trace))
+
+    if last is None:
+        trace.append(_cover_record(cover))
         return fail("stitch", {
             "attempts": STITCH_ATTEMPTS,
             "units": len(cover.paths) + (1 if p_abs.path else 0),
         })
-    trace.append(StageRecord("stitch", True, {
-        "reservoir_used": len(used_reservoir),
-    }))
+    trace.extend(last[0])
+    return fail("absorb", last[1])
 
-    # absorb unused reservoir and uncovered vertices
-    limit = max(1, int(LEFTOVER_RATIO * len(p_abs.path)))
-    if len(leftovers) > limit:
-        return fail("absorb", {"leftovers": len(leftovers), "limit": limit})
-    if leftovers:
-        try:
-            grown = absorb_vertices(g, p_abs, leftovers)
-        except (CapacityExhaustedError, VertexNotAbsorbableError) as exc:
-            return fail("absorb", {"leftovers": len(leftovers), "reason": str(exc)})
-        if tuple(cycle_seq[:len(p_abs.path)]) != p_abs.path:
-            raise CertificateError("stitched sequence does not start with "
-                                   "the absorbing path")
-        cycle_seq = list(grown.path) + cycle_seq[len(p_abs.path):]
-        trace.append(StageRecord("absorb", True, {"absorbed": len(leftovers)}))
-    else:
-        trace.append(StageRecord("absorb", True, {"absorbed": 0}))
 
-    cycle = DiCycle(tuple(cycle_seq))
-    if not verify_hamilton_cycle(g, cycle):
-        return fail("close", {"reason": "assembled sequence failed verification"})
-    trace.append(StageRecord("close", True, {"length": len(cycle_seq)}))
-    return HamiltonResult("cycle_found", cycle, tuple(trace))
+def _cover_record(cover: CoverResult) -> StageRecord:
+    return StageRecord("cover", True, {
+        "paths": len(cover.paths),
+        "uncovered": len(cover.uncovered),
+        "truncated": cover.truncated,
+    })
 
 
 def _attempt_stitch(g: OrientedGraph, p_abs: AbsorbingPath,
                     paths: Sequence[DiPath], res: Reservoir,
                     rng, drain: bool = False) -> tuple[list[int], frozenset[int]] | None:
     """One stitching attempt: order the cover paths (direct-arc greedy,
-    randomized on retries), then join consecutive units and close the
+    choices drawn from ``rng``), then join consecutive units and close the
     cycle through a fresh reservoir ledger.  ``drain`` routes junctions
     through the reservoir even where direct arcs exist."""
     units: list[list[int]] = []
@@ -396,8 +370,7 @@ def _attempt_stitch(g: OrientedGraph, p_abs: AbsorbingPath,
     while pool:
         tail = units[-1][-1]
         direct = [p for p in pool if g.has_arc(tail, p[0])]
-        bucket = direct or pool
-        choice = bucket[0] if rng is None else rng.choice(bucket)
+        choice = rng.choice(direct or pool)
         pool.remove(choice)
         units.append(choice)
 

@@ -317,13 +317,13 @@ def absorb_assignment_oracle(g, P, leftovers):
     return None
 
 
-def path_cover_oracle(g, avoid, max_paths, seed=0, restarts=8):
+def path_cover_oracle(g, avoid, max_paths, seed=0):
     """The greedy path cover with a set of remaining vertices, a rebuilt
     mask per step and an ``has_arc`` test per insertion spot; picks are
     ``rng.choice`` over ascending candidate lists."""
     pool = [v for v in range(g.n) if v not in avoid]
     if not pool:
-        return CoverResult((), frozenset(), 0, False)
+        return CoverResult((), frozenset(), False)
 
     def pick_bit(mask, rng):
         return rng.choice(list(iter_bits(mask)))
@@ -362,15 +362,13 @@ def path_cover_oracle(g, avoid, max_paths, seed=0, restarts=8):
             paths.append(path)
         return paths
 
-    best = min((attempt(rng_for(seed, "cover", r)) for r in range(max(1, restarts))),
-               key=len)
-
-    truncated = len(best) > max_paths
+    paths = attempt(rng_for(seed, "cover", 0))
+    truncated = len(paths) > max_paths
     if truncated:
-        keep = set(map(tuple, sorted(best, key=len, reverse=True)[:max_paths]))
-        kept = [p for p in best if tuple(p) in keep]
+        keep = set(map(tuple, sorted(paths, key=len, reverse=True)[:max_paths]))
+        kept = [p for p in paths if tuple(p) in keep]
     else:
-        kept = best
+        kept = paths
     covered = {v for p in kept for v in p}
     return CoverResult(tuple(DiPath(tuple(p)) for p in kept),
-                       frozenset(pool) - covered, len(pool), truncated)
+                       frozenset(pool) - covered, truncated)
