@@ -18,7 +18,7 @@ from .fileio import EdgeListParseError, emit_edge_list, parse_edge_list
 from .conditions import (ConditionReport, HypothesisViolatedError, check_ore,
                          check_ghouila_houri, check_nash_williams,
                          check_semidegree_consequence, check_sparse_set_bound,
-                         check_woodall, non_arc_pairs, ore_threshold)
+                         check_woodall, ore_threshold)
 from .extremal import (ExtremalityReport, ExtremalParams,
                        InfeasibleParamsError, PartitionNotCoveringError,
                        SIZE_ROUNDING_ALLOWANCE, bipartite_tournament,

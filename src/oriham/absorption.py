@@ -29,6 +29,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -133,22 +134,42 @@ def _connector_within(g: OrientedGraph, x: int, y: int,
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectivityProfile:
-    """Smallest usable connector size per ordered non-adjacent pair."""
+    """Smallest usable connector size per ordered non-adjacent pair.
 
-    best: dict[Pair, tuple[int, int]]  # pair -> (k, count at that k)
+    ``k[u, v]`` is that size (1, 2 or 3) and ``count[u, v]`` the number of
+    connectors of that size, both n x n arrays that read 0 on arcs, on the
+    diagonal and on the unconnectable pairs.  Profiles compare by value.
+    """
+
+    k: np.ndarray
+    count: np.ndarray
     unconnectable: tuple[Pair, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pairs": {f"{u},{v}": {"k": k, "count": c}
-                      for (u, v), (k, c) in sorted(self.best.items())},
-            "unconnectable": [list(p) for p in self.unconnectable],
-        }
+    @cached_property
+    def best(self) -> dict[Pair, tuple[int, int]]:
+        """pair -> (k, count at that k) for every connectable pair."""
+        u, v = np.nonzero(self.k)
+        return dict(zip(zip(u.tolist(), v.tolist()),
+                        zip(self.k[u, v].tolist(), self.count[u, v].tolist())))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConnectivityProfile):
+            return NotImplemented
+        return (np.array_equal(self.k, other.k)
+                and np.array_equal(self.count, other.count)
+                and self.unconnectable == other.unconnectable)
 
 
 _PROFILE_BLOCK = 1 << 20  # entries of one row block of the walk counts
+
+
+def _packed(rows: Sequence[int], words: int) -> np.ndarray:
+    """Bitset rows as a (len(rows), words) array of uint64 words, low
+    vertex ids first."""
+    raw = b"".join(bits.to_bytes(8 * words, "little") for bits in rows)
+    return np.frombuffer(raw, "<u8").reshape(len(rows), words)
 
 
 def connectivity_profile(g: OrientedGraph) -> ConnectivityProfile:
@@ -159,31 +180,41 @@ def connectivity_profile(g: OrientedGraph) -> ConnectivityProfile:
     The counts are entries of A^2, A^3 and A^4 for the adjacency matrix A:
     on such a pair every walk u -> w1 .. wk -> v with k <= 3 is a
     k-connector, since an oriented graph has no loops, no 2-cycles and
-    here no arc u->v.  Entries stay below n^3 < 2^53, so float64 products
-    are exact.  Rows go in blocks, so memory stays bounded at n = 4096.
+    here no arc u->v.  A^2[u, v] is the popcount of out(u) & in(v) over
+    packed words.  Rows of A^3 and A^4 are float64 products, formed only
+    for the rows that still hold a pair with no shorter connector; entries
+    stay below n^3 < 2^53, so they are exact.  Rows go in blocks, so memory
+    stays bounded at n = 4096.
     """
     n = g.n
+    words = max(1, -(-n // 64))
+    out, inn = _packed(g._out, words), _packed(g._in, words)
     adj = g.adjacency_matrix()
-    a = adj.astype(np.float64)
-    best: dict[Pair, tuple[int, int]] = {}
-    dead: list[Pair] = []
+    pending = adj == 0  # non-arc pairs with no connector found yet
+    np.fill_diagonal(pending, False)
+    k = np.zeros((n, n), np.uint8)
+    count = np.zeros((n, n), np.int64)
+    a = None
     step = max(1, _PROFILE_BLOCK // max(n, 1))
     for lo in range(0, n, step):
-        w2 = a[lo:lo + step] @ a
-        w3 = w2 @ a
-        w4 = w3 @ a
-        non_arc = adj[lo:lo + step] == 0
-        non_arc[np.arange(len(non_arc)), np.arange(lo, lo + len(non_arc))] = False
-        u, v = np.nonzero(non_arc)
-        walks = np.stack([w2[u, v], w3[u, v], w4[u, v]])
-        k = (walks > 0).argmax(axis=0)
-        count = walks[k, np.arange(len(k))].astype(np.int64)
-        live = count > 0
-        u += lo
-        best.update(zip(zip(u[live].tolist(), v[live].tolist()),
-                        zip((k[live] + 1).tolist(), count[live].tolist())))
-        dead.extend(zip(u[~live].tolist(), v[~live].tolist()))
-    return ConnectivityProfile(best, tuple(dead))
+        rows = np.arange(lo, min(lo + step, n))
+        walks = np.zeros((len(rows), n))
+        for j in range(words):
+            walks += np.bitwise_count(out[rows, j, None] & inn[:, j])
+        for size in (1, 2, 3):
+            hit = pending[rows] & (walks > 0)
+            r, v = np.nonzero(hit)
+            k[rows[r], v] = size
+            count[rows[r], v] = walks[r, v]
+            pending[rows[r], v] = False
+            live = pending[rows].any(axis=1)
+            if size == 3 or not live.any():
+                break
+            if a is None:
+                a = adj.astype(np.float64)
+            rows, walks = rows[live], walks[live] @ a
+    u, v = np.nonzero(pending)
+    return ConnectivityProfile(k, count, tuple(zip(u.tolist(), v.tolist())))
 
 
 # -- strong absorbers ----------------------------------------------------------

@@ -21,9 +21,12 @@ from fractions import Fraction
 from itertools import chain, repeat
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .absorption import (ALPHA1, connectivity_profile, enumerate_connectors,
-                         enumerate_strong_absorbers, enumerate_weak_absorbers)
+from .absorption import (ALPHA1, ConnectivityProfile, connectivity_profile,
+                         enumerate_connectors, enumerate_strong_absorbers,
+                         enumerate_weak_absorbers)
 from .conditions import (HypothesisViolatedError, check_ghouila_houri,
                          check_nash_williams, check_ore,
                          check_semidegree_consequence, check_sparse_set_bound,
@@ -105,9 +108,9 @@ def _dumps(obj) -> str:
 
     CPython's C encoder ignores ``indent``: with it set, ``json.dumps`` runs
     the pure-Python encoder, several times slower on a report as large as
-    ``profile``'s.  Here each container is joined once, and a map of
-    int records with one key set (``profile``'s per-pair map) is written
-    from one format template.  A document with any non-string key goes to
+    ``absorbers``'.  Here each container is joined once, and a list of
+    equal-length int lists (``absorbers``' members) is written from one
+    format template.  A document with any non-string key goes to
     ``json.dumps`` whole, since json sorts such keys before converting them.
     """
     try:
@@ -132,49 +135,73 @@ def _encode(o, nl: str) -> str:
         if not o:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in o]) + nl + "]"
+        template = _row_template(o, inner)
+        if template is None:
+            bodies = [_encode(x, inner) for x in o]
+        else:
+            bodies = map(template.__mod__, map(tuple, o))
+        return "[" + inner + ("," + inner).join(bodies) + nl + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
         if not all(map(isinstance, o, repeat(str))):
             raise _NonStrKey
         keys = sorted(o)
-        values = list(map(o.__getitem__, keys))
         inner = nl + "  "
         heads = map(str.__add__, map(_encode_str, keys), repeat(": "))
-        template = _record_template(values, inner)
-        if template is None:
-            bodies = [_encode(v, inner) for v in values]
-        else:
-            bodies = map(template.__mod__, values)
+        bodies = [_encode(o[key], inner) for key in keys]
         return "{" + inner + ("," + inner).join(map(str.__add__, heads, bodies)) + nl + "}"
     return json.dumps(o)
 
 
-def _record_template(values: list, nl: str) -> str | None:
-    """One %-template that encodes every value, when all are non-empty
-    dicts of plain ints with one key set of paren-free strings; else None."""
-    first = values[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = first.keys()
-    if set(map(type, values)) != {dict} or not all(map(keys.__eq__, map(dict.keys, values))):
-        return None
-    if set(map(type, chain.from_iterable(map(dict.values, values)))) != {int}:
-        return None
-    if not all(isinstance(k, str) and "(" not in k and ")" not in k for k in keys):
+def _row_template(rows, nl: str) -> str | None:
+    """One %-template that encodes every row, when all are non-empty lists
+    or tuples of plain ints of one length; else None."""
+    width = len(rows[0]) if type(rows[0]) in (list, tuple) else 0
+    if (not width or not set(map(type, rows)) <= {list, tuple}
+            or set(map(len, rows)) != {width}
+            or set(map(type, chain.from_iterable(rows))) != {int}):
         return None
     inner = nl + "  "
-    fields = [_encode_str(k).replace("%", "%%") + ": %(" + k + ")d" for k in sorted(first)]
-    return "{" + inner + ("," + inner).join(fields) + nl + "}"
+    return "[" + inner + ("," + inner).join(["%d"] * width) + nl + "]"
+
+
+def _write(text: str, out: str | None) -> None:
+    """``text`` on stdout, or in the file ``out``; a file that cannot be
+    written is a usage error."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}")
 
 
 def _emit(obj, out: str | None) -> None:
-    text = _dumps(obj) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    _write(_dumps(obj) + "\n", out)
+
+
+_PAIR = '\n      "%d,%d": {\n        "count": %d,\n        "k": %d\n      }'
+_DEAD = "\n      [\n        %d,\n        %d\n      ]"
+
+
+def _profile_text(prof: ConnectivityProfile) -> str:
+    """What ``_emit`` writes for {"schema": SCHEMA, "profile": {"pairs":
+    {"u,v": {"count": c, "k": k}, ...}, "unconnectable": [[u, v], ...]}},
+    without building that map.  Its keys sort as strings, and ',' sorts
+    below every digit, so both axes run over the vertex ids in str order."""
+    order = np.array(sorted(range(len(prof.k)), key=str), dtype=np.intp)
+    u, v = np.nonzero(prof.k[np.ix_(order, order)])
+    u, v = order[u], order[v]
+    rows = zip(u.tolist(), v.tolist(), prof.count[u, v].tolist(), prof.k[u, v].tolist())
+    pairs = ",".join(map(_PAIR.__mod__, rows))
+    dead = ",".join(map(_DEAD.__mod__, prof.unconnectable))
+    return ('{\n  "profile": {\n    "pairs": '
+            + ("{" + pairs + "\n    }" if pairs else "{}")
+            + ',\n    "unconnectable": '
+            + ("[" + dead + "\n    ]" if dead else "[]")
+            + '\n  },\n  "schema": ' + _encode_str(SCHEMA) + "\n}\n")
 
 
 def _load_graph(path: str) -> OrientedGraph:
@@ -236,10 +263,8 @@ def cmd_generate(args) -> int:
                                "ac_edges": args.ac_edges, "d_edges": args.d_edges},
                               args.timestamp),
     }
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write(text, args.out)
+    if args.out is not None:
         _emit(sidecar, args.out + ".json")
     return EXIT_OK
 
@@ -309,8 +334,7 @@ def cmd_absorbers(args) -> int:
 
 def cmd_profile(args) -> int:
     g = _load_graph(args.input)
-    prof = connectivity_profile(g)
-    _emit({"schema": SCHEMA, "profile": prof.to_json_dict()}, args.out)
+    _write(_profile_text(connectivity_profile(g)), args.out)
     return EXIT_OK
 
 

@@ -48,22 +48,34 @@ def ore_threshold(n: int) -> Fraction:
     return Fraction(3 * n - 3, 4)
 
 
-def non_arc_pairs(g: OrientedGraph):
-    """Ordered pairs (x, y), x != y, with no arc from x to y; x ascending,
-    then y ascending."""
-    for x in range(g.n):
-        for y in iter_bits(g.non_out_bits(x)):
-            yield x, y
+def in_degree_masks(g: OrientedGraph) -> dict[int, int]:
+    """Bit sets of the vertices of each in-degree, keyed by in-degree in
+    ascending order."""
+    masks: dict[int, int] = {}
+    for v in range(g.n):
+        d = g.in_degree(v)
+        masks[d] = masks.get(d, 0) | 1 << v
+    return dict(sorted(masks.items()))
 
 
 def _min_pair_sum(g: OrientedGraph) -> tuple[Fraction, tuple[int, int]] | None:
-    """Smallest deg+(x) + deg-(y) over the non-arc pairs, with the first
-    pair in ``non_arc_pairs`` order that attains it as the witness."""
-    out_deg = [g.out_degree(v) for v in range(g.n)]
-    in_deg = [g.in_degree(v) for v in range(g.n)]
-    found = min(((out_deg[x] + in_deg[y], x, y) for x, y in non_arc_pairs(g)),
-                default=None)
-    return None if found is None else (Fraction(found[0]), found[1:])
+    """Smallest deg+(x) + deg-(y) over the non-arc pairs (x, y), with the
+    first pair in (x, y) order that attains it as the witness.
+
+    For each x, the lowest in-degree class that meets ``non_out_bits(x)``
+    gives x's smallest sum, and its lowest vertex the first partner at it.
+    """
+    masks = in_degree_masks(g)
+    best = None
+    for x in range(g.n):
+        non_out, out_x = g.non_out_bits(x), g.out_degree(x)
+        for d, mask in masks.items():
+            if best is not None and out_x + d >= best[0]:
+                break
+            if non_out & mask:
+                best = (out_x + d, (x, next(iter_bits(non_out & mask))))
+                break
+    return None if best is None else (Fraction(best[0]), best[1])
 
 
 def check_ore(g: OrientedGraph) -> ConditionReport:

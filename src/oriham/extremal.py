@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conditions import frac_json, non_arc_pairs
+from .conditions import frac_json, in_degree_masks
 from .graph import OrientedGraph, Partition4, iter_bits, mask_of
 from .seeds import derive_seed, rng_for
 
@@ -199,8 +199,12 @@ def generate_extremal(params: ExtremalParams) -> tuple[OrientedGraph, Partition4
 def find_sharp_pair(g: OrientedGraph, bound: int) -> tuple[int, int] | None:
     """First ordered non-adjacent pair (x, y) with deg+(x) + deg-(y) equal
     to ``bound`` exactly, or None."""
-    return next(((x, y) for x, y in non_arc_pairs(g)
-                 if g.out_degree(x) + g.in_degree(y) == bound), None)
+    masks = in_degree_masks(g)
+    for x in range(g.n):
+        partners = g.non_out_bits(x) & masks.get(bound - g.out_degree(x), 0)
+        if partners:
+            return x, next(iter_bits(partners))
+    return None
 
 
 # -- structure scoring ---------------------------------------------------------

@@ -5,7 +5,9 @@ for the absorb assignment, over route choices) so the logic is
 independently auditable. Nothing imports from oriham beyond the
 graph container itself, except ``reservoir_oracle``, which takes its
 connector lists from ``enumerate_connectors`` (checked against
-``connectors_oracle`` by the connector tests), and the partition search
+``connectors_oracle`` by the connector tests), ``profile_json_dict``, which
+takes its counts from ``connectivity_profile`` (checked against
+``connectors_oracle`` by the profile tests), and the partition search
 oracles, which take the partition and report types, the size allowance and
 the seeded random streams from the library.  ``path_cover_oracle`` is a
 set-and-list greedy path cover making the same random draws as the
@@ -19,11 +21,19 @@ budget truncation included.
 from fractions import Fraction
 from itertools import permutations, product
 
-from oriham.absorption import default_reservoir_size, enumerate_connectors
+from oriham.absorption import (connectivity_profile, default_reservoir_size,
+                               enumerate_connectors)
 from oriham.extremal import SIZE_ROUNDING_ALLOWANCE, ExtremalityReport
 from oriham.graph import DiPath, Partition4, iter_bits, mask_of
 from oriham.hamilton import CoverResult
 from oriham.seeds import rng_for
+
+
+def non_arc_pairs(g):
+    """Ordered pairs (x, y), x != y, with no arc from x to y; x ascending,
+    then y ascending."""
+    return [(x, y) for x in range(g.n) for y in range(g.n)
+            if x != y and not g.has_arc(x, y)]
 
 
 def ore_min_pair(g):
@@ -46,6 +56,16 @@ def ore_holds(g):
     if best is None:
         return True
     return Fraction(best) >= Fraction(3 * g.n - 3, 4)
+
+
+def profile_json_dict(g):
+    """The ``profile`` part of the CLI's profile report as a plain map:
+    "u,v" -> {"k", "count"} for each connectable pair, and the
+    unconnectable pairs in (u, v) order."""
+    prof = connectivity_profile(g)
+    return {"pairs": {f"{u},{v}": {"k": k, "count": c}
+                      for (u, v), (k, c) in sorted(prof.best.items())},
+            "unconnectable": [list(p) for p in prof.unconnectable]}
 
 
 def connectors_oracle(g, u, v, k):

@@ -37,7 +37,7 @@ from oriham import (
 )
 from oriham import absorption
 from oriham.absorption import Reservoir
-from oriham.graph import mask_of
+from oriham.graph import iter_bits, mask_of
 from oriham.seeds import derive_seed, rng_for
 
 import _oracles
@@ -126,6 +126,28 @@ def test_profile_row_blocks(monkeypatch):
     for entries in (1, 20):
         monkeypatch.setattr(absorption, "_PROFILE_BLOCK", entries)
         assert [connectivity_profile(g) for g in graphs] == whole
+
+
+def test_profile_counts_walks_across_words():
+    """Beyond 64 vertices each bitset row spans several packed words; each
+    pair's k is the first walk length u -> .. -> v that occurs, and its
+    count the number of such walks, summed here over bitsets."""
+    g = random_oriented(100, 0.05, derive_seed(2, "words", 0))
+    prof = connectivity_profile(g)
+    assert {k for k, _ in prof.best.values()} == {1, 2, 3}
+    dead = []
+    for u in range(g.n):
+        layers = [[g.out_bits(u)]]  # out-sets of the walks' last vertex
+        for _ in range(2):
+            layers.append([g.out_bits(w) for m in layers[-1] for w in iter_bits(m)])
+        for v in iter_bits(g.non_out_bits(u)):
+            walks = [sum((m & g.in_bits(v)).bit_count() for m in layer)
+                     for layer in layers]
+            k = next((k for k, count in enumerate(walks, 1) if count), None)
+            assert prof.best.get((u, v)) == (None if k is None else (k, walks[k - 1]))
+            if k is None:
+                dead.append((u, v))
+    assert prof.unconnectable == tuple(dead)
 
 
 def test_profile_cycle3():

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oriham import OrientedGraph, emit_edge_list, generate_extremal, parse_edge_list, table_params
+from oriham import (OrientedGraph, emit_edge_list, generate_extremal, parse_edge_list,
+                    random_oriented, table_params)
 from oriham import cli
 from oriham.cli import main
+
+import _oracles
 
 TS = "2026-08-18T00:00:00+00:00"
 
@@ -292,6 +295,61 @@ def test_profile(tmp_path, capsys):
     assert prof["pairs"]["1,0"] == {"k": 1, "count": 1}
 
 
+def profile_reference(g):
+    return reference_dumps({"schema": "oriham/1",
+                            "profile": _oracles.profile_json_dict(g)}) + "\n"
+
+
+PROFILE_GRAPHS = {
+    "n0": OrientedGraph(0),
+    "n1": OrientedGraph(1),
+    "n2-arc": OrientedGraph(2, [(0, 1)]),
+    "n2-empty": OrientedGraph(2),
+    "cycle12": cycle_graph(12),
+    "two-cycles": OrientedGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    "sparse23": random_oriented(23, 0.15, 4),
+    "dense31": random_oriented(31, 0.5, 2),
+    "extremal13": generate_extremal(table_params(13, 1, seed=4))[0],
+}
+
+
+@pytest.mark.parametrize("name", PROFILE_GRAPHS)
+def test_profile_text_matches_json(tmp_path, capsys, name):
+    """The profile report is json.dumps(sort_keys=True, indent=2) of the
+    per-pair map, with pair keys in string order ("10,2" before "2,10")."""
+    g = PROFILE_GRAPHS[name]
+    path = write_graph(tmp_path, g)
+    rc, out, _ = run(capsys, ["profile", "--input", path])
+    assert rc == 0
+    assert out == profile_reference(g)
+
+
+def test_profile_graphs_cover_every_shape():
+    profiles = [_oracles.profile_json_dict(g) for g in PROFILE_GRAPHS.values()]
+    ks = {rec["k"] for prof in profiles for rec in prof["pairs"].values()}
+    assert ks == {1, 2, 3}
+    assert any(prof["unconnectable"] for prof in profiles)
+    assert any(not prof["pairs"] and not prof["unconnectable"] for prof in profiles)
+    assert any(sorted(prof["pairs"]) != sorted(
+        prof["pairs"], key=lambda key: tuple(map(int, key.split(","))))
+        for prof in profiles)
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--input", "{graph}"],
+    ["check", "--condition", "ore", "--input", "{graph}"],
+    ["generate", "--n", "7", "--a", "0"],
+], ids=["profile", "check", "generate"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    graph = write_graph(tmp_path, cycle_graph(3))
+    target = tmp_path / "missing" / "x.json"
+    argv = [arg.format(graph=graph) for arg in argv]
+    rc, out, err = run(capsys, [*argv, "--out", str(target)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+
+
 def test_solve_dp_found(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(5))
     rc, out, _ = run(capsys, ["solve", "--input", path, "--method", "dp"])
@@ -467,10 +525,20 @@ def record_maps(draw):
     return draw(st.dictionaries(names, row, max_size=5))
 
 
+@st.composite
+def int_rows(draw):
+    """Lists of equal-length int lists or tuples, the shape of absorbers'
+    members."""
+    width = draw(st.integers(0, 4))
+    row = st.lists(st.integers(), min_size=width, max_size=width)
+    return draw(st.lists(row | row.map(tuple), max_size=5))
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
-                  | st.dictionaries(names, kids, max_size=4) | record_maps()),
+                  | st.dictionaries(names, kids, max_size=4) | record_maps()
+                  | int_rows()),
     max_leaves=24)
 
 
@@ -492,6 +560,13 @@ def test_dumps_matches_json(obj):
     {"x": {2: "a", 10: "b"}},
     {"x": {"a": {3: 1}, "b": {3: 2}}},
     [{"k": 1}, {"k": 2}],
+    {"members": [[3, 1, 4, 1], [5, 9, 2, 6], (5, 3, 5, 8)]},
+    [[1, 2], [3, True]],
+    [[1, 2], [3, 2.0]],
+    [[1], [2, 3]],
+    [[], []],
+    [[10 ** 30, -1], [0, -(10 ** 30)]],
+    [[1, 2], {"a": 1}],
     "solo",
     -7,
 ])
@@ -501,7 +576,9 @@ def test_dumps_edge_shapes(obj):
 
 def test_certify_reports_match_json(tmp_path, capsys, monkeypatch):
     """Every report a certify run writes on an n = 192 near-extremal graph
-    is byte-identical to json.dumps(sort_keys=True, indent=2)."""
+    is byte-identical to json.dumps(sort_keys=True, indent=2): of the
+    emitted document, or for profile, which writes its text directly, of
+    the oracle's per-pair map."""
     g, part = generate_extremal(table_params(192, 24, ac_extra=48, d_extra=24))
     path = write_graph(tmp_path, g)
     pfile = tmp_path / "part.json"
@@ -519,7 +596,12 @@ def test_certify_reports_match_json(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_emit", lambda obj, out: (emitted.append(obj),
                                                         real_emit(obj, out)))
     out = tmp_path / "report.json"
+    checked = 0
     for argv in commands:
         main([argv[0], "--input", path, *argv[1:], "--out", str(out)])
-        assert out.read_text() == reference_dumps(emitted[-1]) + "\n"
-    assert len(emitted) == 10
+        if argv[0] == "profile":
+            assert out.read_text() == profile_reference(g)
+        else:
+            assert out.read_text() == reference_dumps(emitted[-1]) + "\n"
+        checked += 1
+    assert len(emitted) == 9 and checked == 10

@@ -17,7 +17,6 @@ from oriham import (
     check_woodall,
     generate_extremal,
     near_regular_tournament,
-    non_arc_pairs,
     ore_threshold,
     random_oriented,
     table_params,
@@ -25,6 +24,7 @@ from oriham import (
 from oriham.seeds import derive_seed
 
 import _oracles
+from _oracles import non_arc_pairs
 
 
 def cycle_graph(n):

@@ -37,7 +37,7 @@ def test_cli_examples_exit_as_documented(tmp_path, monkeypatch, capsys):
     (tmp_path / "spec.json").write_text(spec)
     lines = [line for block in _blocks("") for line in block.splitlines()
              if line.startswith("oriham ")]
-    assert len(lines) == 7
+    assert len(lines) == 8
     for line in lines:
         command, _, exit_code = line.partition("#")
         assert main(shlex.split(command)[1:]) == int(exit_code), line
