@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -182,20 +183,33 @@ def _emit(obj, out: str | None) -> None:
     _write(_dumps(obj) + "\n", out)
 
 
-_PAIR = '\n      "%d,%d": {\n        "count": %d,\n        "k": %d\n      }'
 _DEAD = "\n      [\n        %d,\n        %d\n      ]"
+_PAIR_TAIL = np.array([',\n        "k": %d\n      }' % k for k in range(4)], object)
 
 
 def _profile_text(prof: ConnectivityProfile) -> str:
     """What ``_emit`` writes for {"schema": SCHEMA, "profile": {"pairs":
     {"u,v": {"count": c, "k": k}, ...}, "unconnectable": [[u, v], ...]}},
     without building that map.  Its keys sort as strings, and ',' sorts
-    below every digit, so both axes run over the vertex ids in str order."""
-    order = np.array(sorted(range(len(prof.k)), key=str), dtype=np.intp)
+    below every digit, so both axes run over the vertex ids in str order.
+
+    Each pair's text is four pieces, three of them looked up in tables: the
+    head by u, the middle by v and the tail by k; only the count, which is
+    not bounded by n, is formatted.  One join writes all of them."""
+    n = len(prof.k)
+    order = np.array(sorted(range(n), key=str), dtype=np.intp)
     u, v = np.nonzero(prof.k[np.ix_(order, order)])
     u, v = order[u], order[v]
-    rows = zip(u.tolist(), v.tolist(), prof.count[u, v].tolist(), prof.k[u, v].tolist())
-    pairs = ",".join(map(_PAIR.__mod__, rows))
+    heads = np.array([',\n      "%d,' % i for i in range(n)], object)
+    mids = np.array(['%d": {\n        "count": ' % i for i in range(n)], object)
+    pieces = np.empty((u.size, 4), object)
+    pieces[:, 0] = heads[u]
+    pieces[:, 1] = mids[v]
+    pieces[:, 2] = list(map(str, prof.count[u, v].tolist()))
+    pieces[:, 3] = _PAIR_TAIL[prof.k[u, v]]
+    if u.size:
+        pieces[0, 0] = pieces[0, 0][1:]  # no comma before the first pair
+    pairs = "".join(pieces.ravel().tolist())
     dead = ",".join(map(_DEAD.__mod__, prof.unconnectable))
     return ('{\n  "profile": {\n    "pairs": '
             + ("{" + pairs + "\n    }" if pairs else "{}")
@@ -307,6 +321,8 @@ def cmd_score_partition(args) -> int:
 
 
 def cmd_absorbers(args) -> int:
+    if args.alpha1 < 0:
+        raise UsageError(f"--alpha1 must not be negative, got {args.alpha1}")
     g = _load_graph(args.input)
     u, v = args.pair
     try:
@@ -496,7 +512,10 @@ def cmd_sweep(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it: each
+    parse_args call fills a fresh namespace, so no state carries over."""
     parser = argparse.ArgumentParser(
         prog="oriham",
         description="Oriented-graph Hamiltonicity toolkit: sharp extremal "

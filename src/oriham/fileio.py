@@ -32,37 +32,51 @@ def parse_edge_list(text: str) -> OrientedGraph:
     return g if g is not None else _parse_lines(text)
 
 
-# byte classes of a regular file: 1 may occur in an int() token, 2 is the
-# space inside a line, 3 ends a line, 0 sends the file to the line loop
+# byte classes of a regular file: 1 is a digit, 2 another byte int() takes
+# in a token, 3 the space inside a line, 4 a line end; 0 sends the file to
+# the line loop
 _BYTE_CLASS = np.zeros(256, np.uint8)
-_BYTE_CLASS[list(b"0123456789+-_")] = 1
-_BYTE_CLASS[ord(" ")] = 2
-_BYTE_CLASS[ord("\n")] = 3
+_BYTE_CLASS[list(b"0123456789")] = 1
+_BYTE_CLASS[list(b"+-_")] = 2
+_BYTE_CLASS[ord(" ")] = 3
+_BYTE_CLASS[ord("\n")] = 4
+
+# the longest digit token np.fromstring reads exactly: every 18-digit
+# number fits in int64, and fromstring clamps a longer one that does not
+_MAX_DIGITS = 18
 
 
 def _parse_regular(text: str) -> OrientedGraph | None:
     """The graph of a regular, valid file, or None to defer to the loop.
 
-    Tokens hold only bytes of class 1 and are separated by alternating
-    single spaces and LFs, so ``bytes.split`` yields the loop's tokens;
-    numpy converts each with ``int()``, so a token is read as the loop
-    reads it or rejected.
+    Tokens hold only bytes of class 1 or 2 and are separated by alternating
+    single spaces and LFs, so ``bytes.split`` yields the loop's tokens.  A
+    file of digit tokens no longer than ``_MAX_DIGITS`` is converted in C by
+    ``np.fromstring``, which reads such a token as ``int()`` does; any other
+    file has numpy call ``int()`` on each token, so a token is read as the
+    loop reads it or rejected.
     """
     if not text.isascii():
         return None
     data = text.encode("ascii")
     cls = _BYTE_CLASS[np.frombuffer(data, np.uint8)]
-    if cls.size == 0 or cls[-1] != 3 or not cls.all():
+    if cls.size == 0 or cls[-1] != 4 or not cls.all():
         return None
-    cuts = np.flatnonzero(cls >= 2)
+    cuts = np.flatnonzero(cls >= 3)
     seps = cls[cuts]
-    if (cuts[0] == 0 or (np.diff(cuts) == 1).any()
-            or (seps[0::2] != 2).any() or (seps[1::2] != 3).any()):
+    gaps = np.diff(cuts)
+    if (cuts[0] == 0 or (gaps == 1).any()
+            or (seps[0::2] != 3).any() or (seps[1::2] != 4).any()):
         return None
-    try:
-        vals = np.array(data.split(), np.int64)
-    except (ValueError, OverflowError):
-        return None
+    if (cls == 2).any() or max(cuts[0], gaps.max() - 1) > _MAX_DIGITS:
+        try:
+            vals = np.array(data.split(), np.int64)
+        except (ValueError, OverflowError):
+            return None
+    else:
+        vals = np.fromstring(data, np.int64, sep=" ")
+        if vals.size != cuts.size:
+            return None
     n, declared = int(vals[0]), int(vals[1])
     ids = vals[2:]
     if (not 0 <= n <= MAX_VERTICES or 2 * declared != ids.size

@@ -269,6 +269,45 @@ def test_absorbers_weak(tmp_path, capsys):
     assert json.loads(out)["members"] == [[2, 3, 4, 5]]
 
 
+def test_absorbers_negative_alpha1_is_usage_error(tmp_path, capsys):
+    """A negative alpha1 would make every inner pair strongly absorbable;
+    alpha1 = 0 stays allowed."""
+    g = OrientedGraph(6, [(2, 3), (2, 0), (4, 5), (1, 5), (1, 3)])
+    path = write_graph(tmp_path, g)
+    argv = ["absorbers", "--input", path, "--pair", "0,1", "--kind", "weak"]
+    rc, out, err = run(capsys, [*argv, "--alpha1", "-1"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "--alpha1" in err
+    rc, out, _ = run(capsys, [*argv, "--alpha1", "0"])
+    assert rc == 0
+    assert json.loads(out)["members"] == [[2, 3, 4, 5]]
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    """main builds its parser once per process, and an option given to one
+    command is not remembered by the next."""
+    g, _ = generate_extremal(table_params(12, 0))
+    path = write_graph(tmp_path, g)
+    cli.build_parser.cache_clear()
+    rc, _, _ = run(capsys, ["check", "--condition", "sparse-set", "--input", path,
+                            "--set", "1", "--sigma", "1/2"])
+    assert rc in (0, 1)
+    rc, _, err = run(capsys, ["check", "--condition", "sparse-set", "--input", path])
+    assert rc == 2
+    assert "requires --set and --sigma" in err
+    rc, out, _ = run(capsys, ["absorbers", "--input", path, "--pair", "0,1",
+                              "--kind", "connector", "--k", "3"])
+    assert rc == 0
+    assert json.loads(out)["kind"] == "connector"
+    rc, _, err = run(capsys, ["absorbers", "--input", path, "--pair", "0,1",
+                              "--kind", "connector"])
+    assert rc == 2
+    assert "requires --k" in err
+    info = cli.build_parser.cache_info()
+    assert info.misses == 1 and info.hits == 3
+
+
 @pytest.mark.parametrize("kind", [["connector", "--k", "1"], ["strong"], ["weak"]])
 def test_absorbers_cap_below_one_is_usage_error(tmp_path, capsys, kind):
     path = write_graph(tmp_path, OrientedGraph(5, [(0, 1), (1, 4), (0, 2), (2, 4)]))
@@ -300,6 +339,15 @@ def profile_reference(g):
                             "profile": _oracles.profile_json_dict(g)}) + "\n"
 
 
+def layered_graph(*sizes):
+    """Layers of the given sizes, numbered in order, with every arc from
+    one layer to the next."""
+    bounds = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    layers = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return OrientedGraph(bounds[-1], [(a, b) for src, dst in zip(layers, layers[1:])
+                                      for a in src for b in dst])
+
+
 PROFILE_GRAPHS = {
     "n0": OrientedGraph(0),
     "n1": OrientedGraph(1),
@@ -310,6 +358,8 @@ PROFILE_GRAPHS = {
     "sparse23": random_oriented(23, 0.15, 4),
     "dense31": random_oriented(31, 0.5, 2),
     "extremal13": generate_extremal(table_params(13, 1, seed=4))[0],
+    # (0, 13) has 4^3 = 64 3-connectors, more than n
+    "layered14": layered_graph(1, 4, 4, 4, 1),
 }
 
 
@@ -330,6 +380,8 @@ def test_profile_graphs_cover_every_shape():
     assert ks == {1, 2, 3}
     assert any(prof["unconnectable"] for prof in profiles)
     assert any(not prof["pairs"] and not prof["unconnectable"] for prof in profiles)
+    assert any(rec["count"] > g.n for g, prof in zip(PROFILE_GRAPHS.values(), profiles)
+               for rec in prof["pairs"].values())
     assert any(sorted(prof["pairs"]) != sorted(
         prof["pairs"], key=lambda key: tuple(map(int, key.split(","))))
         for prof in profiles)
