@@ -258,6 +258,8 @@ def _strong_count(out: Sequence[int], inn: Sequence[int], u: int, v: int,
 def _strong_need(n: int, alpha1: Fraction) -> int:
     """ceil(alpha1 * n^2), the fewest strong absorbers that make a pair
     alpha1-strongly absorbable, in integer arithmetic."""
+    if alpha1 < 0:
+        raise ValueError(f"alpha1 must not be negative, got {alpha1}")
     num, den = alpha1.as_integer_ratio()
     return -(-num * n * n // den)
 

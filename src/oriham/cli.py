@@ -321,8 +321,6 @@ def cmd_score_partition(args) -> int:
 
 
 def cmd_absorbers(args) -> int:
-    if args.alpha1 < 0:
-        raise UsageError(f"--alpha1 must not be negative, got {args.alpha1}")
     g = _load_graph(args.input)
     u, v = args.pair
     try:

@@ -6,11 +6,11 @@ out-of-range ids, duplicates and count mismatches with 1-based line
 numbers; emitting writes arcs in sorted order so parse/emit round-trips
 normalize.
 
-A regular file (ASCII, every line exactly ``token SP token LF``, the form
-``emit_edge_list`` writes) holding a valid graph is parsed with numpy in
-one pass, to the graph the line loop would build.  Every other file goes
-through the line-by-line loop, so each error keeps its message and line
-number whichever path was tried first.
+A regular file (every line exactly ``token SP token LF``, each token at
+most 18 ASCII digits, the form ``emit_edge_list`` writes) holding a valid
+graph is parsed with numpy in one pass, to the graph the line loop would
+build.  Every other file goes through the line-by-line loop, so each error
+keeps its message and line number whichever path was tried first.
 """
 
 from __future__ import annotations
@@ -32,55 +32,46 @@ def parse_edge_list(text: str) -> OrientedGraph:
     return g if g is not None else _parse_lines(text)
 
 
-# byte classes of a regular file: 1 is a digit, 2 another byte int() takes
-# in a token, 3 the space inside a line, 4 a line end; 0 sends the file to
-# the line loop
+# byte classes of a regular file: 1 is a digit, 2 the space inside a line,
+# 3 a line end; 0 (any other byte) sends the file to the line loop
 _BYTE_CLASS = np.zeros(256, np.uint8)
 _BYTE_CLASS[list(b"0123456789")] = 1
-_BYTE_CLASS[list(b"+-_")] = 2
-_BYTE_CLASS[ord(" ")] = 3
-_BYTE_CLASS[ord("\n")] = 4
+_BYTE_CLASS[ord(" ")] = 2
+_BYTE_CLASS[ord("\n")] = 3
 
-# the longest digit token np.fromstring reads exactly: every 18-digit
-# number fits in int64, and fromstring clamps a longer one that does not
+# the longest token np.fromstring reads exactly: every 18-digit number
+# fits in int64, and fromstring clamps a longer one that does not
 _MAX_DIGITS = 18
 
 
 def _parse_regular(text: str) -> OrientedGraph | None:
     """The graph of a regular, valid file, or None to defer to the loop.
 
-    Tokens hold only bytes of class 1 or 2 and are separated by alternating
-    single spaces and LFs, so ``bytes.split`` yields the loop's tokens.  A
-    file of digit tokens no longer than ``_MAX_DIGITS`` is converted in C by
-    ``np.fromstring``, which reads such a token as ``int()`` does; any other
-    file has numpy call ``int()`` on each token, so a token is read as the
-    loop reads it or rejected.
+    Tokens are runs of ASCII digits no longer than ``_MAX_DIGITS``,
+    separated by alternating single spaces and LFs, and ``np.fromstring``
+    converts them in C, reading each token as the loop's ``int()`` does.
+    A file with any other token (a sign, an underscore, a longer run of
+    digits) goes to the line loop.
     """
     if not text.isascii():
         return None
     data = text.encode("ascii")
     cls = _BYTE_CLASS[np.frombuffer(data, np.uint8)]
-    if cls.size == 0 or cls[-1] != 4 or not cls.all():
+    if cls.size == 0 or cls[-1] != 3 or not cls.all():
         return None
-    cuts = np.flatnonzero(cls >= 3)
+    cuts = np.flatnonzero(cls >= 2)
     seps = cls[cuts]
     gaps = np.diff(cuts)
     if (cuts[0] == 0 or (gaps == 1).any()
-            or (seps[0::2] != 3).any() or (seps[1::2] != 4).any()):
+            or (seps[0::2] != 2).any() or (seps[1::2] != 3).any()
+            or max(cuts[0], gaps.max() - 1) > _MAX_DIGITS):
         return None
-    if (cls == 2).any() or max(cuts[0], gaps.max() - 1) > _MAX_DIGITS:
-        try:
-            vals = np.array(data.split(), np.int64)
-        except (ValueError, OverflowError):
-            return None
-    else:
-        vals = np.fromstring(data, np.int64, sep=" ")
-        if vals.size != cuts.size:
-            return None
+    vals = np.fromstring(data, np.int64, sep=" ")
+    if vals.size != cuts.size:
+        return None
     n, declared = int(vals[0]), int(vals[1])
     ids = vals[2:]
-    if (not 0 <= n <= MAX_VERTICES or 2 * declared != ids.size
-            or ((ids < 0) | (ids >= n)).any()):
+    if n > MAX_VERTICES or 2 * declared != ids.size or (ids >= n).any():
         return None
     u, v = ids[0::2], ids[1::2]
     adj = np.zeros((n, n), bool)

@@ -227,6 +227,13 @@ def test_strongly_absorbable_threshold():
     assert not is_strongly_absorbable(STRONG3, 0, 0, Fraction(1, 8))
 
 
+def test_negative_alpha1_is_rejected():
+    with pytest.raises(ValueError, match="alpha1 must not be negative"):
+        is_strongly_absorbable(STRONG3, 0, 0, Fraction(-1))
+    with pytest.raises(ValueError, match="alpha1 must not be negative"):
+        enumerate_weak_absorbers(WEAK6, 0, 1, Fraction(-1, 100))
+
+
 def test_strongly_absorbable_early_exit_keeps_verdicts():
     # the count stops at ceil(alpha1 * n^2); the verdict must be the full
     # count's, on every ordered pair

@@ -270,15 +270,14 @@ def test_absorbers_weak(tmp_path, capsys):
 
 
 def test_absorbers_negative_alpha1_is_usage_error(tmp_path, capsys):
-    """A negative alpha1 would make every inner pair strongly absorbable;
-    alpha1 = 0 stays allowed."""
+    """A negative alpha1 is rejected input; alpha1 = 0 stays allowed."""
     g = OrientedGraph(6, [(2, 3), (2, 0), (4, 5), (1, 5), (1, 3)])
     path = write_graph(tmp_path, g)
     argv = ["absorbers", "--input", path, "--pair", "0,1", "--kind", "weak"]
     rc, out, err = run(capsys, [*argv, "--alpha1", "-1"])
     assert rc == 2
     assert out == ""
-    assert err.startswith("error:") and "--alpha1" in err
+    assert err.startswith("error:") and "alpha1 must not be negative" in err
     rc, out, _ = run(capsys, [*argv, "--alpha1", "0"])
     assert rc == 0
     assert json.loads(out)["members"] == [[2, 3, 4, 5]]

@@ -141,7 +141,7 @@ def _mutants(text, rng):
         yield appended(f"{u} {v}\t{v}", declared=2)
         yield "\n".join([lines[0], *arcs, f"{u} {v}"]) + "\n"
     # np.fromstring reads digit tokens of up to 18 digits; longer ones go
-    # through int()
+    # to the line loop
     yield retoken(lambda t: t.zfill(18))
     yield retoken(lambda t: t.zfill(19))
     yield retoken(lambda t: t.zfill(25))
