@@ -38,7 +38,7 @@ from .absorption import (AbsorbingPath, CapacityExhaustedError,
                          default_reservoir_size, default_strong_target,
                          select_disjoint_family)
 from .generators import random_min_semidegree, random_oriented
-from .hamilton import (PIPELINE_MAX_N, CertificateError, CoverResult,
-                       HamiltonResult, StageRecord, TooLargeError, exact_brute,
-                       exact_dp, find_hamilton_absorption, greedy_path_cover)
+from .hamilton import (CertificateError, CoverResult, HamiltonResult,
+                       StageRecord, TooLargeError, exact_brute, exact_dp,
+                       find_hamilton_absorption, greedy_path_cover)
 from .seeds import derive_seed, rng_for

@@ -490,7 +490,8 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"entry {idx}: unknown kind {kind!r}")
         try:
             result = _SWEEPS[kind](entry, derive_seed(args.seed, "sweep", idx))
-        except (InfeasibleParamsError, TooLargeError, KeyError, ValueError) as exc:
+        except (GraphError, InfeasibleParamsError, TooLargeError, KeyError,
+                ValueError) as exc:
             result = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         if not result["ok"]:
             failures += 1

@@ -247,11 +247,9 @@ def _pick_bit(mask: int, rng) -> int:
 
 # Pipeline constants: the cover keeps at most MAX_PATHS paths; cover, stitch
 # and absorb are tried together up to STITCH_ATTEMPTS times, and the first
-# attempt that absorbs its leftovers wins.  Graphs above PIPELINE_MAX_N
-# vertices are refused.
+# attempt that absorbs its leftovers wins.
 MAX_PATHS = 12
 STITCH_ATTEMPTS = 12
-PIPELINE_MAX_N = 512
 
 
 def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
@@ -266,8 +264,6 @@ def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
     ``stitch`` when no attempt stitched, else ``absorb`` from the last
     attempt that stitched.  The verdict is never "none_exists".
     """
-    if g.n > PIPELINE_MAX_N:
-        raise TooLargeError(f"n = {g.n} exceeds pipeline cap {PIPELINE_MAX_N}")
     trace: list[StageRecord] = []
 
     def fail(stage: str, detail: dict) -> HamiltonResult:

@@ -15,7 +15,10 @@ library's; it takes the result type and the seeded random streams from
 the library.  ``weak_absorbers_reference`` is the straightforward
 bitset enumeration of weak absorbers (probe by probe, full strong counts
 compared as fractions) that the library's pruned one must reproduce,
-budget truncation included.
+budget truncation included.  ``min_semidegree_oracle`` is the
+one-draw-at-a-time reversal loop that ``random_min_semidegree`` must
+reproduce; it takes its starting tournament and seeded stream from the
+library.
 """
 
 from fractions import Fraction
@@ -23,8 +26,9 @@ from itertools import permutations, product
 
 from oriham.absorption import (connectivity_profile, default_reservoir_size,
                                enumerate_connectors)
-from oriham.extremal import SIZE_ROUNDING_ALLOWANCE, ExtremalityReport
-from oriham.graph import DiPath, Partition4, iter_bits, mask_of
+from oriham.extremal import (SIZE_ROUNDING_ALLOWANCE, ExtremalityReport,
+                             near_regular_tournament)
+from oriham.graph import DiPath, OrientedGraph, Partition4, iter_bits, mask_of
 from oriham.hamilton import CoverResult
 from oriham.seeds import rng_for
 
@@ -161,6 +165,34 @@ def endpoint_table_oracle(g):
                     if out[v] >> w & 1 and not mask >> w & 1:
                         dp[mask | (1 << w)] |= 1 << w
     return dp
+
+
+def min_semidegree_oracle(n, bound, seed, flips=None):
+    """``random_min_semidegree`` one ``randrange`` pair at a time, with
+    bitset degrees: reverse the arc between u and v when both touched
+    degrees stay at or above ``bound``."""
+    if bound > (n - 1) // 2:
+        raise ValueError(f"bound {bound} unattainable")
+    base = near_regular_tournament(n, None)
+    out = [base.out_bits(v) for v in range(n)]
+    inn = [base.in_bits(v) for v in range(n)]
+    rng = rng_for(seed, "min-semidegree", n, bound)
+    for _ in range(flips if flips is not None else 8 * n * n):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        if not (out[u] >> v) & 1:
+            u, v = v, u
+            if not (out[u] >> v) & 1:
+                continue
+        if out[u].bit_count() - 1 < bound or inn[v].bit_count() - 1 < bound:
+            continue
+        out[u] &= ~(1 << v)
+        inn[v] &= ~(1 << u)
+        out[v] |= 1 << u
+        inn[u] |= 1 << v
+    return OrientedGraph(n, [(u, v) for u in range(n) for v in iter_bits(out[u])])
 
 
 def reservoir_oracle(g, avoid=(), target_size=None, prefer=None, stats=None):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from oriham import (OrientedGraph, emit_edge_list, generate_extremal, parse_edge_list,
                     random_oriented, table_params)
-from oriham import cli
+from oriham import cli, graph
 from oriham.cli import main
 
 import _oracles
@@ -502,6 +503,21 @@ def test_sweep_rejects_bad_size_range(tmp_path, capsys, kind):
     rows = json.loads(out)["rows"]
     assert [r["ok"] for r in rows] == [False, False, False]
     assert all(r["error"].startswith("ValueError: size range") for r in rows)
+
+
+@pytest.mark.parametrize("kind", ["oracle", "pipeline"])
+def test_sweep_oversized_order_is_row_error(tmp_path, capsys, kind):
+    n = graph.MAX_VERTICES + 1  # refused before any graph is built
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"kind": kind, "count": 1, "n_min": n, "n_max": n},
+                                {"kind": "oracle", "count": 0}]))
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, ["sweep", "--spec", str(spec)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3
+    rows = json.loads(out)["rows"]
+    assert [r["ok"] for r in rows] == [False, True]
+    assert rows[0]["error"].startswith("OutOfRangeError: vertex count 4097")
 
 
 def test_sweep_rejects_negative_counts(tmp_path, capsys):
