@@ -463,10 +463,17 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
             break
         avoid_mask |= mask_of(chosen)
         walked: dict[Pair, list[tuple[int, ...]]] = {}
+        # a connector starts at an out-neighbour of u and ends at an
+        # in-neighbour of v inside allowed: pairs without one are skipped,
+        # as their empty lists would change nothing in the selection
+        allowed = g.full_mask() & ~(avoid_mask | outside)
+        heads = mask_of(v for v, bits in enumerate(g._in) if bits & allowed)
 
         def candidate_lists():
             for u in iter_bits(g.full_mask() & ~avoid_mask):
-                for v in iter_bits(g.non_out_bits(u) & ~avoid_mask):
+                if not g._out[u] & allowed:
+                    continue
+                for v in iter_bits(g.non_out_bits(u) & ~avoid_mask & heads):
                     if (u, v) not in covered:
                         opts = [tup for tup in enumerate_connectors(
                                     g, u, v, k, cap=8 * RESERVOIR_PER_PAIR_CAP)

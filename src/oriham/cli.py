@@ -263,9 +263,9 @@ def cmd_generate(args) -> int:
     try:
         params = table_params(args.n, args.a, ac_extra=args.ac_edges,
                               d_extra=args.d_edges, seed=args.seed)
-    except InfeasibleParamsError as exc:
+        g, part = generate_extremal(params)  # refuses n > MAX_VERTICES first
+    except (InfeasibleParamsError, OutOfRangeError) as exc:
         raise UsageError(str(exc))
-    g, part = generate_extremal(params)
     text = emit_edge_list(g)
     sidecar = {
         "schema": SCHEMA,

@@ -26,8 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .conditions import frac_json, in_degree_masks
-from .graph import OrientedGraph, Partition4, iter_bits, mask_of
+from .graph import OrientedGraph, Partition4, _check_order, iter_bits, mask_of
 from .seeds import derive_seed, rng_for
 
 
@@ -106,33 +108,26 @@ def near_regular_tournament(m: int, seed: int | None = None) -> OrientedGraph:
     the odd circulant on m+1 vertices with the last vertex deleted.  A seed
     relabels vertices (degree multiset unchanged); None keeps identity.
     """
-    if m < 0:
-        raise InfeasibleParamsError("negative tournament order")
-    if m <= 1:
-        return OrientedGraph.empty(m)
-    base = m if m % 2 == 1 else m + 1
-    arcs = []
-    for u in range(base):
-        for off in range(1, (base - 1) // 2 + 1):
-            v = (u + off) % base
-            if u < m and v < m:  # drops the phantom vertex when m is even
-                arcs.append((u, v))
-    if seed is None:
-        return OrientedGraph(m, arcs)
-    relabel = list(range(m))
-    rng_for(seed, "tournament", m).shuffle(relabel)
-    return OrientedGraph(m, [(relabel[u], relabel[v]) for u, v in arcs])
+    _check_order(m)  # keeps every offset below in int16 range
+    ids = np.arange(m, dtype=np.int16)
+    # u -> v iff (v - u) mod (m | 1) lies in 1..m // 2
+    adj = (ids - ids[:, None] - 1) % (m | 1) < m // 2
+    if seed is not None:
+        relabel = list(range(m))
+        rng_for(seed, "tournament", m).shuffle(relabel)
+        adj[np.ix_(relabel, relabel)] = adj.copy()
+    return OrientedGraph.from_adjacency(adj)
 
 
 def bipartite_tournament(b_size: int, d_size: int, out_to_d: int,
-                         seed: int | None = None
-                         ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+                         seed: int | None = None) -> np.ndarray:
     """Orient every pair between sides B and D so that each B-vertex has
     exactly ``out_to_d`` out-neighbours in D.
 
-    Returns (arcs B->D, arcs D->B) as (b index, d index) pairs.  Offsets are
-    circulant in the D indices, staggered per B index; a seed shuffles the
-    D order first (per-vertex counts unchanged).
+    Returns the |B| x |D| boolean block whose entry [i, j] is True for the
+    arc B_i -> D_j and False for D_j -> B_i.  Offsets are circulant in the
+    D indices, staggered per B index; a seed shuffles the D order first
+    (per-vertex counts unchanged).
     """
     if not (0 <= out_to_d <= d_size):
         raise InfeasibleParamsError(
@@ -140,16 +135,10 @@ def bipartite_tournament(b_size: int, d_size: int, out_to_d: int,
     order = list(range(d_size))
     if seed is not None:
         rng_for(seed, "bipartite", b_size, d_size).shuffle(order)
-    b_to_d = []
-    d_to_b = []
+    block = np.zeros((b_size, d_size), bool)
     for i in range(b_size):
-        chosen = {order[(i + t) % d_size] for t in range(out_to_d)} if d_size else set()
-        for j in range(d_size):
-            if j in chosen:
-                b_to_d.append((i, j))
-            else:
-                d_to_b.append((j, i))
-    return b_to_d, d_to_b
+        block[i, [order[(i + t) % d_size] for t in range(out_to_d)]] = True
+    return block
 
 
 def generate_extremal(params: ExtremalParams) -> tuple[OrientedGraph, Partition4]:
@@ -161,39 +150,32 @@ def generate_extremal(params: ExtremalParams) -> tuple[OrientedGraph, Partition4
     """
     a, size_b, size_c, size_d = params.sizes
     n = params.n
-    a_ids = list(range(a))
-    b_ids = list(range(a, a + size_b))
-    c_ids = list(range(a + size_b, a + size_b + size_c))
-    d_ids = list(range(a + size_b + size_c, n))
+    _check_order(n)
+    b0, c0, d0 = a, a + size_b, a + size_b + size_c
+    A, B, C, D = slice(0, b0), slice(b0, c0), slice(c0, d0), slice(d0, n)
 
-    arcs: list[tuple[int, int]] = []
-    for (ids, label) in ((a_ids, "A"), (c_ids, "C")):
-        inner = near_regular_tournament(len(ids), derive_seed(params.seed, "inner", label))
-        arcs.extend((ids[u], ids[v]) for u, v in inner.arcs())
-    arcs.extend((x, y) for x in a_ids for y in b_ids)
-    arcs.extend((x, y) for x in b_ids for y in c_ids)
-    arcs.extend((x, y) for x in c_ids for y in d_ids)
-    arcs.extend((x, y) for x in d_ids for y in a_ids)
-
-    out_to_d = (a + 1) // 2
-    b_to_d, d_to_b = bipartite_tournament(size_b, size_d, out_to_d, params.seed)
-    arcs.extend((b_ids[i], d_ids[j]) for i, j in b_to_d)
-    arcs.extend((d_ids[j], b_ids[i]) for j, i in d_to_b)
+    adj = np.zeros((n, n), bool)
+    for block, size, label in ((A, a, "A"), (C, size_c, "C")):
+        inner = near_regular_tournament(size, derive_seed(params.seed, "inner", label))
+        adj[block, block] = inner.adjacency_matrix()
+    adj[A, B] = adj[B, C] = adj[C, D] = adj[D, A] = True
+    adj[B, D] = bipartite_tournament(size_b, size_d, (a + 1) // 2, params.seed)
+    adj[D, B] = ~adj[B, D].T
 
     if params.ac_extra:
-        pool = [(x, y) for x in a_ids for y in c_ids]
-        rng = rng_for(params.seed, "extra-ac")
-        rng.shuffle(pool)
-        arcs.extend(pool[:params.ac_extra])
+        pool = [(x, y) for x in range(b0) for y in range(c0, d0)]
+        rng_for(params.seed, "extra-ac").shuffle(pool)
+        for arc in pool[:params.ac_extra]:
+            adj[arc] = True
     if params.d_extra:
-        pool = [(x, y) for i, x in enumerate(d_ids) for y in d_ids[i + 1:]]
+        pool = [(x, y) for x in range(d0, n) for y in range(x + 1, n)]
         rng = rng_for(params.seed, "extra-d")
         rng.shuffle(pool)
         for x, y in pool[:params.d_extra]:
-            arcs.append((x, y) if rng.random() < 0.5 else (y, x))
+            adj[(x, y) if rng.random() < 0.5 else (y, x)] = True
 
-    part = Partition4.of(a_ids, b_ids, c_ids, d_ids)
-    return OrientedGraph(n, arcs), part
+    part = Partition4.of(range(b0), range(b0, c0), range(c0, d0), range(d0, n))
+    return OrientedGraph.from_adjacency(adj), part
 
 
 def find_sharp_pair(g: OrientedGraph, bound: int) -> tuple[int, int] | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import (MAX_VERTICES, GraphError, OrientedGraph, _check_order,
-                    _insert_arc, _rows_to_bits)
+                    _insert_arc)
 
 
 class EdgeListParseError(ValueError):
@@ -73,15 +73,13 @@ def _parse_regular(text: str) -> OrientedGraph | None:
     ids = vals[2:]
     if n > MAX_VERTICES or 2 * declared != ids.size or (ids >= n).any():
         return None
-    u, v = ids[0::2], ids[1::2]
     adj = np.zeros((n, n), bool)
-    adj[u, v] = True
-    # fewer set entries than arcs means a duplicate; a self-loop sets a
-    # diagonal entry, which adj & adj.T keeps, as it keeps each 2-cycle
-    if adj.sum() != declared or (adj & adj.T).any():
+    adj[ids[0::2], ids[1::2]] = True
+    try:
+        g = OrientedGraph.from_adjacency(adj)
+    except GraphError:  # a self-loop or a 2-cycle
         return None
-    return OrientedGraph._from_bits(n, _rows_to_bits(adj), _rows_to_bits(adj.T),
-                                    declared)
+    return g if g.arc_count == declared else None  # fewer means a duplicate
 
 
 def _parse_lines(text: str) -> OrientedGraph:

@@ -9,7 +9,7 @@ from typing import Iterator
 import numpy as np
 
 from .extremal import near_regular_tournament
-from .graph import OrientedGraph, _check_order, _rows_to_bits
+from .graph import OrientedGraph, _check_order
 from .seeds import rng_for
 
 # 32-bit Mersenne Twister words that _randrange_chunks draws at a time
@@ -21,12 +21,12 @@ def random_oriented(n: int, arc_prob: float, seed: int) -> OrientedGraph:
     oriented uniformly at random."""
     _check_order(n)
     rng = rng_for(seed, "oriented", n)
-    arcs = []
+    adj = np.zeros((n, n), bool)
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < arc_prob:
-                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-    return OrientedGraph(n, arcs)
+                adj[(u, v) if rng.random() < 0.5 else (v, u)] = True
+    return OrientedGraph.from_adjacency(adj)
 
 
 def _randrange_chunks(rng: random.Random, n: int,
@@ -69,8 +69,7 @@ def random_min_semidegree(n: int, bound: int, seed: int,
     _check_order(n)
     if bound > (n - 1) // 2:
         raise ValueError(f"bound {bound} unattainable: tournaments cap at {(n - 1) // 2}")
-    base = near_regular_tournament(n, None)
-    matrix = base.adjacency_matrix()
+    matrix = near_regular_tournament(n, None).adjacency_matrix()
     # rows[u][v] == 1 iff u->v; per-row bytearrays index without making ints
     rows = [bytearray(row) for row in matrix]
     # a tournament stays one under reversals: in-degree is n - 1 - out-degree
@@ -91,6 +90,4 @@ def random_min_semidegree(n: int, bound: int, seed: int,
         rows[v][u] = 1
         out[u] -= 1
         out[v] += 1
-    matrix = np.frombuffer(b"".join(rows), np.uint8).reshape(n, n)
-    return OrientedGraph._from_bits(n, _rows_to_bits(matrix),
-                                    _rows_to_bits(matrix.T), base.arc_count)
+    return OrientedGraph.from_adjacency(rows)

@@ -107,6 +107,27 @@ class OrientedGraph:
         return OrientedGraph._from_bits(self.n, out, inn, self.arc_count + added)
 
     @classmethod
+    def from_adjacency(cls, adj) -> "OrientedGraph":
+        """The graph with an arc u->v for each nonzero ``adj[u, v]``.  Raises
+        OutOfRangeError above MAX_VERTICES, SelfLoopError for a nonzero
+        diagonal, TwoCycleError for a pair set both ways and GraphError for
+        a matrix that is not square."""
+        adj = np.asarray(adj)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise GraphError(f"adjacency matrix of shape {adj.shape} is not square")
+        _check_order(len(adj))  # before the boolean copy is allocated
+        adj = adj != 0
+        both = adj & adj.T  # the diagonal, and each 2-cycle twice
+        if both.any():
+            loops = np.flatnonzero(both.diagonal())
+            if loops.size:
+                raise SelfLoopError(f"self-loop ({loops[0]}, {loops[0]}) rejected")
+            u, v = np.argwhere(both)[0]
+            raise TwoCycleError(f"arcs ({u}, {v}) and ({v}, {u}) form a 2-cycle")
+        return cls._from_bits(len(adj), _rows_to_bits(adj), _rows_to_bits(adj.T),
+                              int(np.count_nonzero(adj)))
+
+    @classmethod
     def _from_bits(cls, n: int, out: list[int], inn: list[int],
                    arc_count: int) -> "OrientedGraph":
         """Wrap adjacency bitsets that ``_insert_arc`` already validated,

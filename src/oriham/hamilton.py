@@ -202,6 +202,8 @@ def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
         rem ^= 1 << start
         path = [start]
         on_path = 1 << start
+        # vertices with an arc from / to some path vertex
+        from_path, to_path = out[start], inn[start]
         while True:
             if opts := out[path[-1]] & rem:
                 w = _pick_bit(opts, rng)
@@ -214,7 +216,7 @@ def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
                 # at the smallest such i; stop when there is none
                 body = on_path ^ 1 << path[-1]
                 pos = {p: i for i, p in enumerate(path)}
-                for w in iter_bits(rem):
+                for w in iter_bits(rem & from_path & to_path):
                     succ = out[w]
                     spots = [pos[p] for p in iter_bits(inn[w] & body)
                              if succ >> path[pos[p] + 1] & 1]
@@ -225,6 +227,8 @@ def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
                     break
             rem ^= 1 << w
             on_path |= 1 << w
+            from_path |= out[w]
+            to_path |= inn[w]
         paths.append(path)
 
     truncated = len(paths) > max_paths

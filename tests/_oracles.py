@@ -18,7 +18,8 @@ compared as fractions) that the library's pruned one must reproduce,
 budget truncation included.  ``min_semidegree_oracle`` is the
 one-draw-at-a-time reversal loop that ``random_min_semidegree`` must
 reproduce; it takes its starting tournament and seeded stream from the
-library.
+library.  ``near_regular_oracle`` lists the circulant tournament's arcs one
+offset at a time, relabelled through the library's seeded stream.
 """
 
 from fractions import Fraction
@@ -165,6 +166,27 @@ def endpoint_table_oracle(g):
                     if out[v] >> w & 1 and not mask >> w & 1:
                         dp[mask | (1 << w)] |= 1 << w
     return dp
+
+
+def near_regular_oracle(m, seed=None):
+    """``near_regular_tournament`` as an arc list: u -> u + off for off in
+    1..(base - 1) / 2 on the odd circulant of order base = m or m + 1,
+    dropping the phantom vertex m, then relabelled by the shuffle of the
+    seeded ``"tournament"`` stream."""
+    if m <= 1:
+        return OrientedGraph.empty(m)
+    base = m if m % 2 == 1 else m + 1
+    arcs = []
+    for u in range(base):
+        for off in range(1, (base - 1) // 2 + 1):
+            v = (u + off) % base
+            if u < m and v < m:
+                arcs.append((u, v))
+    if seed is None:
+        return OrientedGraph(m, arcs)
+    relabel = list(range(m))
+    rng_for(seed, "tournament", m).shuffle(relabel)
+    return OrientedGraph(m, [(relabel[u], relabel[v]) for u, v in arcs])
 
 
 def min_semidegree_oracle(n, bound, seed, flips=None):

@@ -73,6 +73,18 @@ def test_generate_infeasible(capsys):
     assert err.startswith("error:")
 
 
+def test_generate_oversized_order_is_usage_error(tmp_path, capsys):
+    # refused before any block of the construction is built
+    out = tmp_path / "big.edges"
+    start = time.perf_counter()
+    rc, _, err = run(capsys, ["generate", "--n", str(graph.MAX_VERTICES + 1),
+                              "--a", "0", "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert err.startswith("error: vertex count 4097")
+    assert not out.exists()
+
+
 def test_check_ore_positive(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(3))
     rc, out, _ = run(capsys, ["check", "--condition", "ore", "--input", path])

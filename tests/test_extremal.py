@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from oriham import (
     Partition4,
     SIZE_ROUNDING_ALLOWANCE,
     bipartite_tournament,
+    emit_edge_list,
     feasible_a_values,
     find_extremal_partition,
     find_sharp_pair,
@@ -114,6 +117,27 @@ def test_near_regular_is_balanced_tournament(m):
         assert abs(o - i) <= 1
 
 
+@pytest.mark.parametrize("seed", [None, 0, 5])
+def test_near_regular_matches_oracle(seed):
+    for m in [*range(41), 192]:
+        g = near_regular_tournament(m, seed)
+        want = _oracles.near_regular_oracle(m, seed)
+        assert g == want and g._in == want._in and g.arc_count == want.arc_count
+
+
+def test_near_regular_peak_memory():
+    # the circulant is built as one int16 offset matrix, not an arc list
+    # (the arc-list build peaked at 314 MiB here)
+    tracemalloc.start()
+    try:
+        g = near_regular_tournament(2048, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.arc_count == 2048 * 2047 // 2
+    assert peak < 32 * 2**20
+
+
 def test_near_regular_relabel_keeps_degrees():
     base = near_regular_tournament(7)
     shuf = near_regular_tournament(7, seed=5)
@@ -123,15 +147,15 @@ def test_near_regular_relabel_keeps_degrees():
 
 
 def test_bipartite_tournament_counts():
-    b_to_d, d_to_b = bipartite_tournament(3, 2, 1)
-    assert len(b_to_d) == 3
-    assert len(d_to_b) == 3
-    b_to_d, d_to_b = bipartite_tournament(4, 3, 1)
-    assert len(b_to_d) == 4
-    assert len(d_to_b) == 8
-    b_to_d, d_to_b = bipartite_tournament(3, 4, 0)
-    assert b_to_d == []
-    assert len(d_to_b) == 12
+    block = bipartite_tournament(3, 2, 1)
+    assert block.shape == (3, 2)
+    assert block.sum() == 3  # B->D arcs; the other 3 pairs are D->B
+    block = bipartite_tournament(4, 3, 1)
+    assert block.sum() == 4
+    assert (~block).sum() == 8
+    block = bipartite_tournament(3, 4, 0)
+    assert block.shape == (3, 4)
+    assert not block.any()
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6), st.integers(0, 9))
@@ -140,16 +164,42 @@ def test_bipartite_tournament_regular_rows(b, d, out, seed):
         with pytest.raises(InfeasibleParamsError):
             bipartite_tournament(b, d, out, seed=seed)
         return
-    b_to_d, d_to_b = bipartite_tournament(b, d, out, seed=seed)
-    assert len(b_to_d) == b * out
-    assert len(d_to_b) == b * (d - out)
-    seen = set(b_to_d) | {(y, x) for x, y in d_to_b}
-    assert len(seen) == b * d
-    for i in range(b):
-        assert sum(1 for x, _ in b_to_d if x == i) == out
+    block = bipartite_tournament(b, d, out, seed=seed)
+    # one boolean per (B, D) pair orients every pair exactly once
+    assert block.shape == (b, d) and block.dtype == bool
+    assert block.sum() == b * out
+    assert (~block).sum() == b * (d - out)
+    assert block.sum(axis=1).tolist() == [out] * b
 
 
 # -- generation ------------------------------------------------------------------
+
+
+# sha256 of the concatenated emit_edge_list texts of generate_extremal over
+# every feasible a, with extra arcs, for one n of each residue mod 4, and of
+# one certify-cli benchmark graph (n = 192)
+PINNED_EXTREMAL = {
+    16: "4baeebd989a737e6f250c287693b065817af684e4314ede1a45bbf58c97c55ce",
+    17: "7e19977d543eb3169a2540648b4814fdacfd0fab306de711a5dc9bb1176f8cf1",
+    18: "60df74afe0203a24d353bf7b49e58c8b9f4c0efec36a0ec164551f77be68ddfb",
+    19: "af4c520a55b38b82bb268ab8f88341217cec739c785f776451b62be1ca261f1b",
+    192: "5c2c669938ceee647eb3cebc2f16571a9c4219000e947aefaf0f4b8e4105734d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_EXTREMAL))
+def test_generate_extremal_pinned(n):
+    if n == 192:
+        params = [table_params(192, 24, ac_extra=48, d_extra=24,
+                               seed=derive_seed(1, "certify", 0))]
+    else:
+        params = [table_params(n, a, ac_extra=a + 1, d_extra=n // 5, seed=a)
+                  for a in feasible_a_values(n)]
+    digest = hashlib.sha256()
+    for p in params:
+        digest.update(emit_edge_list(generate_extremal(p)[0]).encode())
+    assert digest.hexdigest() == PINNED_EXTREMAL[n]
+
 
 
 def test_generate_structure_n7():

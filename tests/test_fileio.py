@@ -99,8 +99,13 @@ def _outcome(parse, text):
     return g.n, g._out, g._in, g.arc_count
 
 
+# mutants every valid file keeps regular: the fast path must take each one
+FAST_MUTANTS = {"itself", "00-prefix", "zfill-18", "header-only"}
+
+
 def _mutants(text, rng):
-    """The file itself and irregular or invalid variants of it."""
+    """(label, file) for the file itself and irregular or invalid variants
+    of it."""
     lines = text.split("\n")[:-1]
     arcs = lines[1:]
 
@@ -116,37 +121,38 @@ def _mutants(text, rng):
         u, v = lines[i].split()
         return with_line(i, f"{fmt(u)} {v}" if rng.random() < 0.5 else f"{u} {fmt(v)}")
 
-    yield text
-    yield text.replace("\n", "\r\n")
-    yield text.replace(" ", "\t", 1 + rng.randrange(len(lines)))
-    yield text.replace(" ", "  ", 1 + rng.randrange(len(lines)))
-    yield text[:-1]
+    yield "itself", text
+    yield "crlf", text.replace("\n", "\r\n")
+    yield "tab", text.replace(" ", "\t", 1 + rng.randrange(len(lines)))
+    yield "double-space", text.replace(" ", "  ", 1 + rng.randrange(len(lines)))
+    yield "no-final-lf", text[:-1]
     i = rng.randrange(len(lines) + 1)
-    yield "\n".join(lines[:i] + [""] + lines[i:]) + "\n"
-    yield retoken(lambda t: "+" + t)
-    yield retoken(lambda t: t[0] + "_" + t[1:] if len(t) > 1 else "0_" + t)
-    yield retoken(lambda t: "".join("\u0660\u0661\u0662\u0663\u0664\u0665\u0666"
-                                    "\u0667\u0668\u0669"[int(d)] for d in t))
-    yield retoken(lambda t: "00" + t)
-    yield retoken(lambda t: t + " 1")
+    yield "blank-line", "\n".join(lines[:i] + [""] + lines[i:]) + "\n"
+    yield "plus-sign", retoken(lambda t: "+" + t)
+    yield "underscore", retoken(lambda t: t[0] + "_" + t[1:] if len(t) > 1 else "0_" + t)
+    yield "arabic-indic", retoken(lambda t: "".join(
+        "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"[int(d)]
+        for d in t))
+    yield "00-prefix", retoken(lambda t: "00" + t)
+    yield "third-token", retoken(lambda t: t + " 1")
     i = rng.randrange(len(lines))
-    yield with_line(i, lines[i].split()[0])
-    yield with_line(i, " " + lines[i])
+    yield "one-token", with_line(i, lines[i].split()[0])
+    yield "leading-space", with_line(i, " " + lines[i])
     if arcs:
         u, v = rng.choice(arcs).split()
-        yield appended(f"{u} {v}")
-        yield appended(f"{v} {u}")
-        yield appended(f"{u} {u}")
-        yield appended(f"{u} {int(lines[0].split()[0])}")
-        yield appended(f"{u} {v}\t{v}", declared=2)
-        yield "\n".join([lines[0], *arcs, f"{u} {v}"]) + "\n"
+        yield "duplicate", appended(f"{u} {v}")
+        yield "two-cycle", appended(f"{v} {u}")
+        yield "self-loop", appended(f"{u} {u}")
+        yield "out-of-range", appended(f"{u} {int(lines[0].split()[0])}")
+        yield "tab-pair", appended(f"{u} {v}\t{v}", declared=2)
+        yield "count-mismatch", "\n".join([lines[0], *arcs, f"{u} {v}"]) + "\n"
     # np.fromstring reads digit tokens of up to 18 digits; longer ones go
     # to the line loop
-    yield retoken(lambda t: t.zfill(18))
-    yield retoken(lambda t: t.zfill(19))
-    yield retoken(lambda t: t.zfill(25))
-    yield retoken(lambda t: "9" * 19)
-    yield "5 0\n"
+    yield "zfill-18", retoken(lambda t: t.zfill(18))
+    yield "zfill-19", retoken(lambda t: t.zfill(19))
+    yield "zfill-25", retoken(lambda t: t.zfill(25))
+    yield "nines-19", retoken(lambda t: "9" * 19)
+    yield "header-only", "5 0\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -161,14 +167,15 @@ def test_fast_path_matches_line_loop():
         n = i % 13
         rng = random.Random(derive_seed(0, "parse-diff", i))
         text = emit_edge_list(random_oriented(n, rng.choice((0.2, 0.5, 0.9)), i))
-        assert fileio._parse_regular(text) is not None
-        for mutant in _mutants(text, rng):
+        for label, mutant in _mutants(text, rng):
             files += 1
             want = _outcome(fileio._parse_lines, mutant)
             fast = fileio._parse_regular(mutant)
             if fast is not None:
                 taken += 1
                 assert (fast.n, fast._out, fast._in, fast.arc_count) == want
+            else:
+                assert label not in FAST_MUTANTS, (i, label)
             assert _outcome(parse_edge_list, mutant) == want
     assert files >= 4000
     assert taken >= 1000

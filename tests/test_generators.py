@@ -1,6 +1,7 @@
 """The seeded generators: ``random_min_semidegree`` reproduces its
 one-draw-at-a-time reference loop, its bulk draws reproduce CPython's
-``randrange``, and both generators refuse an oversized order up front."""
+``randrange``, and the generators and the starting tournament refuse an
+oversized order up front."""
 
 import random
 import time
@@ -8,8 +9,8 @@ import tracemalloc
 
 import pytest
 
-from oriham import (MAX_VERTICES, OutOfRangeError, random_min_semidegree,
-                    random_oriented)
+from oriham import (MAX_VERTICES, OutOfRangeError, near_regular_tournament,
+                    random_min_semidegree, random_oriented)
 from oriham.generators import _DRAW_CHUNK, _randrange_chunks
 from oriham.seeds import derive_seed
 
@@ -79,4 +80,6 @@ def test_oversized_order_fails_before_building():
         random_min_semidegree(MAX_VERTICES + 1, 0, 0)
     with pytest.raises(OutOfRangeError):
         random_oriented(MAX_VERTICES + 1, 0.5, 0)
+    with pytest.raises(OutOfRangeError):
+        near_regular_tournament(MAX_VERTICES + 1)  # before its int16 offsets
     assert time.perf_counter() - start < 1.0

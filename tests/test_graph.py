@@ -4,8 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oriham import (
+    MAX_VERTICES,
     DiCycle,
     DiPath,
+    GraphError,
     InvalidPathError,
     OrientedGraph,
     OutOfRangeError,
@@ -137,6 +139,40 @@ def test_min_semidegree_graph_matches_rebuilt(n, bound, seeds):
         assert g == rebuilt
         assert (g._in, g.arc_count) == (rebuilt._in, rebuilt.arc_count)
         assert g.min_semidegree() >= bound
+
+
+@given(st.integers(0, 9), st.integers(0, 2**32))
+def test_from_adjacency_round_trip(n, seed):
+    rng = rng_for(seed, "from-adjacency", n)
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u)
+            for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+    g = OrientedGraph(n, arcs)
+    for dtype in (bool, np.uint8, np.int64):
+        h = OrientedGraph.from_adjacency(g.adjacency_matrix().astype(dtype))
+        assert h == g and h._in == g._in and h.arc_count == g.arc_count
+    # any nonzero entry is an arc
+    h = OrientedGraph.from_adjacency(g.adjacency_matrix() * np.int64(-7))
+    assert h == g and h.arc_count == g.arc_count
+
+
+def test_from_adjacency_rejections():
+    with pytest.raises(OutOfRangeError):
+        # a read-only view: the order is refused before anything is copied
+        OrientedGraph.from_adjacency(
+            np.broadcast_to(np.uint8(0), (MAX_VERTICES + 1,) * 2))
+    loop = np.zeros((3, 3), np.uint8)
+    loop[0, 1] = loop[1, 0] = loop[2, 2] = 1  # the loop wins over the 2-cycle
+    with pytest.raises(SelfLoopError):
+        OrientedGraph.from_adjacency(loop)
+    both = np.zeros((3, 3), bool)
+    both[1, 2] = both[2, 1] = True
+    with pytest.raises(TwoCycleError):
+        OrientedGraph.from_adjacency(both)
+    for shape in ((2, 3), (4,), (2, 2, 2)):
+        with pytest.raises(GraphError) as exc:
+            OrientedGraph.from_adjacency(np.zeros(shape, bool))
+        assert type(exc.value) is GraphError
+    assert OrientedGraph.from_adjacency(np.zeros((0, 0), bool)) == OrientedGraph.empty(0)
 
 
 @given(arc_lists)

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oriham import (
+    MAX_VERTICES,
     CapacityExhaustedError,
     CoverResult,
     DiCycle,
@@ -29,7 +31,7 @@ from oriham import (
     table_params,
     verify_hamilton_cycle,
 )
-from oriham import hamilton
+from oriham import absorption, hamilton
 from oriham.seeds import derive_seed
 
 import _oracles
@@ -362,6 +364,32 @@ def test_pipeline_never_claims_nonexistence():
     g = OrientedGraph.empty(8)
     res = find_hamilton_absorption(g)
     assert res.verdict == "not_found"
+
+
+def test_pipeline_searches_no_connector_on_empty_graph(monkeypatch):
+    # a pair with no out-neighbour of u or no in-neighbour of v to route
+    # through has no connector, so the reservoir never searches one
+    calls = []
+    real = absorption.enumerate_connectors
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(absorption, "enumerate_connectors", counting)
+    res = find_hamilton_absorption(OrientedGraph.empty(64))
+    assert res.verdict == "not_found"
+    assert calls == []
+
+
+def test_pipeline_fails_fast_on_empty_graph_at_max_order():
+    # the cover only tries to insert vertices with arcs from and to the
+    # path, and the reservoir skips pairs without a connector
+    start = time.perf_counter()
+    res = find_hamilton_absorption(OrientedGraph.empty(MAX_VERTICES))
+    assert time.perf_counter() - start < 5.0
+    assert res.verdict == "not_found"
+    assert res.first_failure() == "stitch"
 
 
 def test_pipeline_consistent_with_dp():

@@ -2,10 +2,14 @@
 ``python -O`` strips it and a check written as one would vanish, and no
 handler that catches every exception (a bare ``except:``, ``except
 Exception`` or ``except BaseException``), which would hide a bug as an
-expected error, and no exported name that nothing uses."""
+expected error, no exported name that nothing uses, and no third-party
+import but numpy (and not ``numpy.random``) on the CLI's path."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +66,35 @@ def test_every_export_is_used():
         if not any(used.search(line) and not definition.match(line) for line in lines):
             unused.append(name)
     assert unused == []
+
+
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import oriham.cli
+from oriham import (bipartite_tournament, generate_extremal, near_regular_tournament,
+                    random_min_semidegree, random_oriented, table_params)
+near_regular_tournament(9, 1)
+bipartite_tournament(3, 2, 1, 1)
+generate_extremal(table_params(16, 1, ac_extra=2, d_extra=2, seed=1))
+random_oriented(12, 0.5, 1)
+random_min_semidegree(12, 3, 1)
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_and_generators_load_only_numpy():
+    """Every module loaded stays resident for the process, which is what
+    the benchmark's peak RSS reads: ``numpy.random`` alone adds about
+    1.7 MB.  Importing the CLI and building one graph with each generator
+    loads the standard library, numpy and oriham, and not numpy.random."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.split()
+    assert "oriham.cli" in loaded
+    tops = {name.partition(".")[0] for name in loaded}
+    assert tops - set(sys.stdlib_module_names) == {"numpy", "oriham"}
+    assert not any(m == "numpy.random" or m.startswith("numpy.random.")
+                   for m in loaded)
