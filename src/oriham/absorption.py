@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from typing import Iterable, Sequence
+from itertools import accumulate, islice, repeat
 
 import numpy as np
 
@@ -79,23 +79,42 @@ class VertexNotAbsorbableError(ValueError):
 # -- connectors ----------------------------------------------------------------
 
 
-def _connectors(g: OrientedGraph, x: int, y: int, k: int, pool: int):
-    """Yield the k-connectors x -> w1 -> ... -> wk -> y whose internal
-    vertices lie in the bitmask ``pool`` (which excludes x and y), in
-    ascending lexicographic order."""
-    into_y = g.in_bits(y) & pool
+def _connector_blocks(g: OrientedGraph, x: int, y: int, k: int,
+                      pool: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The k-connectors x -> w1 -> ... -> wk -> y whose internal vertices
+    lie in the bitmask ``pool`` (which excludes x and y), as blocks
+    (prefix, last) in ascending lexicographic order: a block stands for the
+    tuples prefix + (w,) for each w in the nonzero bitmask ``last``.
+
+    The vertices come out distinct with no exclusion mask: an oriented
+    graph has no loops, and w1 -> w2 keeps w1 out of N+(w2)."""
+    out = g._out
+    into_y = g._in[y] & pool
     if k == 1:
-        for w in iter_bits(g.out_bits(x) & into_y):
-            yield (w,)
+        if last := out[x] & into_y:
+            yield (), last
     elif k == 2:
-        for w1 in iter_bits(g.out_bits(x) & pool):
-            for w2 in iter_bits(g.out_bits(w1) & into_y & ~(1 << w1)):
-                yield (w1, w2)
+        for w1 in iter_bits(out[x] & pool):
+            if last := out[w1] & into_y:
+                yield (w1,), last
     else:
-        for w1 in iter_bits(g.out_bits(x) & pool):
-            for w2 in iter_bits(g.out_bits(w1) & pool & ~(1 << w1)):
-                for w3 in iter_bits(g.out_bits(w2) & into_y & ~(1 << w1 | 1 << w2)):
-                    yield (w1, w2, w3)
+        for w1 in iter_bits(out[x] & pool):
+            for w2 in iter_bits(out[w1] & pool):
+                if last := out[w2] & into_y:
+                    yield (w1, w2), last
+
+
+def _block_tuples(prefix: tuple[int, ...], last: int) -> Iterator[tuple[int, ...]]:
+    """The connector tuples of one block, ascending."""
+    return zip(*map(repeat, prefix), iter_bits(last))
+
+
+def _first_connector(g: OrientedGraph, x: int, y: int, k: int,
+                     pool: int) -> tuple[int, ...] | None:
+    """The lexicographically first k-connector of (x, y) inside ``pool``."""
+    for prefix, last in _connector_blocks(g, x, y, k, pool):
+        return (*prefix, (last & -last).bit_length() - 1)
+    return None
 
 
 def _check_cap(cap: int | None) -> None:
@@ -116,8 +135,12 @@ def enumerate_connectors(g: OrientedGraph, u: int, v: int, k: int,
     _check_cap(cap)
     g.check_vertex(u)
     g.check_vertex(v)
-    found = _connectors(g, u, v, k, g.full_mask() & ~mask_of((u, v)))
-    return list(islice(found, cap))
+    found: list[tuple[int, ...]] = []
+    for prefix, last in _connector_blocks(g, u, v, k, g.full_mask() & ~mask_of((u, v))):
+        found += _block_tuples(prefix, last)
+        if cap is not None and len(found) >= cap:
+            break
+    return found[:cap]
 
 
 def _connector_within(g: OrientedGraph, x: int, y: int,
@@ -128,7 +151,7 @@ def _connector_within(g: OrientedGraph, x: int, y: int,
     if g.has_arc(x, y):
         return ()
     for k in (1, 2, 3):
-        inner = next(_connectors(g, x, y, k, pool), None)
+        inner = _first_connector(g, x, y, k, pool)
         if inner is not None:
             return inner
     return None
@@ -284,34 +307,47 @@ def is_strongly_absorbable(g: OrientedGraph, u: int, v: int,
     return _strong_count(g._out, g._in, u, v, need) >= need
 
 
+class _StrongDraw(Sequence):
+    """Read-only draw: item i is the pair of the i-th sampled rank, placed
+    when read by bisecting the prefix popcounts for w, then ``nth_bit``."""
+
+    __slots__ = ("ranks", "ws", "zsets", "starts")
+
+    def __init__(self, ranks: list[int], ws: list[int], zsets: list[int],
+                 starts: list[int]):
+        self.ranks, self.ws, self.zsets, self.starts = ranks, ws, zsets, starts
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self.ranks)))]
+        rank = self.ranks[i]
+        j = bisect_right(self.starts, rank) - 1
+        return self.ws[j], nth_bit(self.zsets[j], rank - self.starts[j])
+
+
 def _draw_strong_absorbers(g: OrientedGraph, v: int, avoid: int, k: int,
-                           rng: random.Random) -> list[Pair]:
+                           rng: random.Random) -> Sequence[Pair]:
     """Up to k strong absorbers (w, z) of the single vertex v with w and z
     outside the bitmask ``avoid``, drawn uniformly without replacement, in
     draw order; all of them, shuffled, when fewer than k exist.
 
     The draw is ``rng.sample`` over ranks in the ascending lexicographic
-    list of such pairs.  A rank's w is found by bisecting the prefix
-    popcounts over in(v), and its z by ``nth_bit``; the list is never built.
+    list of such pairs, made here in full; the list is never built, and a
+    rank becomes its pair only when the returned sequence is indexed.
     """
     out = g._out
     ex = ~(1 << v | avoid)
     from_v = out[v] & ex
-    ws: list[int] = []
-    zsets: list[int] = []
-    starts: list[int] = []
-    total = 0
-    for w in iter_bits(g._in[v] & ex):
-        if zs := out[w] & from_v:
-            ws.append(w)
-            zsets.append(zs)
-            starts.append(total)
-            total += zs.bit_count()
-    picks: list[Pair] = []
-    for rank in rng.sample(range(total), min(k, total)):
-        i = bisect_right(starts, rank) - 1
-        picks.append((ws[i], nth_bit(zsets[i], rank - starts[i])))
-    return picks
+    ws = list(iter_bits(g._in[v] & ex))
+    zsets = [out[w] & from_v for w in ws]
+    # starts[i] is the rank of ws[i]'s first pair; a w with no z shares the
+    # next start, so bisecting a rank never lands on it
+    starts = list(accumulate(map(int.bit_count, zsets), initial=0))
+    total = starts.pop()
+    return _StrongDraw(rng.sample(range(total), min(k, total)), ws, zsets, starts)
 
 
 # -- weak absorbers ------------------------------------------------------------
@@ -408,8 +444,31 @@ def select_disjoint_family(lists: Iterable[Sequence[tuple[int, ...]]],
 
 
 # connectors kept per pair for the reservoir's family selection (eight
-# times as many are enumerated before the avoid/prefer filters)
+# times as many are scanned before the avoid/prefer filters)
 RESERVOIR_PER_PAIR_CAP = 8
+
+
+def _reservoir_options(g: OrientedGraph, u: int, v: int, k: int,
+                       bad: int) -> list[tuple[int, ...]]:
+    """A pair's reservoir candidates: the first RESERVOIR_PER_PAIR_CAP of
+    its first eight times as many k-connectors that avoid the bitmask
+    ``bad``.  Whole blocks count against the scan, the block holding its
+    last connector is cut there, and only kept tuples are built."""
+    opts: list[tuple[int, ...]] = []
+    left = 8 * RESERVOIR_PER_PAIR_CAP
+    for prefix, last in _connector_blocks(g, u, v, k, g.full_mask() & ~(1 << u | 1 << v)):
+        size = last.bit_count()
+        if size > left:
+            last &= (1 << nth_bit(last, left)) - 1
+        left -= size
+        if not mask_of(prefix) & bad:
+            opts += islice(_block_tuples(prefix, last & ~bad),
+                           RESERVOIR_PER_PAIR_CAP - len(opts))
+            if len(opts) == RESERVOIR_PER_PAIR_CAP:
+                break
+        if left <= 0:
+            break
+    return opts
 
 
 @dataclass
@@ -447,7 +506,7 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
     are the first RESERVOIR_PER_PAIR_CAP of its first eight times as many
     k-connectors that avoid those vertices (and lie in a nonempty
     ``prefer``); ``select_disjoint_family`` keeps (budget - |R|) // k of them.
-    The walk enumerates a pair's connectors only when it reaches the pair
+    The walk scans a pair's connectors only when it reaches the pair
     and stops once that room is full, within the first few pairs of a
     dense graph; a stage that leaves room for the next was walked in full.
     """
@@ -466,7 +525,8 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
         # a connector starts at an out-neighbour of u and ends at an
         # in-neighbour of v inside allowed: pairs without one are skipped,
         # as their empty lists would change nothing in the selection
-        allowed = g.full_mask() & ~(avoid_mask | outside)
+        bad = avoid_mask | outside
+        allowed = g.full_mask() & ~bad
         heads = mask_of(v for v, bits in enumerate(g._in) if bits & allowed)
 
         def candidate_lists():
@@ -475,11 +535,8 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
                     continue
                 for v in iter_bits(g.non_out_bits(u) & ~avoid_mask & heads):
                     if (u, v) not in covered:
-                        opts = [tup for tup in enumerate_connectors(
-                                    g, u, v, k, cap=8 * RESERVOIR_PER_PAIR_CAP)
-                                if not mask_of(tup) & (avoid_mask | outside)]
-                        walked[(u, v)] = opts[:RESERVOIR_PER_PAIR_CAP]
-                        yield walked[(u, v)]
+                        walked[(u, v)] = opts = _reservoir_options(g, u, v, k, bad)
+                        yield opts
 
         kept = set(select_disjoint_family(candidate_lists(), room))
         chosen.update(w for tup in kept for w in tup)
@@ -504,7 +561,7 @@ def connect_through_reservoir(g: OrientedGraph, res: Reservoir,
     if x in res.vertices or y in res.vertices:
         raise ValueError(f"endpoints ({x}, {y}) must lie outside the reservoir")
     avail = mask_of(res.unused())
-    inner = next(_connectors(g, x, y, 1, avail), None) if prefer_reservoir else None
+    inner = _first_connector(g, x, y, 1, avail) if prefer_reservoir else None
     if inner is None:
         inner = _connector_within(g, x, y, avail)
     if inner is None:
@@ -604,11 +661,12 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
     (weak first, then at most ``default_strong_target(n)`` strong ones from
     what remains), and stitch the gadgets into one directed path.
 
-    A vertex is strongly absorbable when ``is_strongly_absorbable`` says so
-    at ALPHA1, and weakly absorbable when it has at least ALPHA2 * n^4 weak
-    absorbers among those the enumeration budget reaches.  A weakly
-    absorbable vertex's candidates are the first ABSORB_PER_PAIR_CAP of
-    them, read off the same enumeration.
+    A vertex is strongly absorbable when it has at least ceil(ALPHA1 * n^2)
+    strong absorbers (the rule of ``is_strongly_absorbable``), and weakly
+    absorbable when it has at least ALPHA2 * n^4 weak absorbers among those
+    the enumeration budget reaches.  A weakly absorbable vertex's
+    candidates are the first ABSORB_PER_PAIR_CAP of them, read off the same
+    enumeration.
 
     Draw contract for the strong candidates: one ``random.Random`` seeded
     with ``derive_seed(seed, "strong-pool")`` serves the strongly
@@ -617,7 +675,8 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
     family, uniformly without replacement, as ``rng.sample`` over their
     ranks in lexicographic order (all of them when fewer exist).  A
     vertex draws only when the family selection reaches it, so vertices
-    after the strong family fills are never drawn.
+    after the strong family fills are never drawn, and a drawn rank is
+    placed as a pair only when the selection reads it.
 
     Vertices with neither gadget type are reported in ``gaps`` rather than
     raised: tiny or sparse graphs legitimately have none, and callers can
@@ -626,12 +685,13 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
     """
     n = g.n
     tw = max(1, math.ceil(ALPHA2 * n ** 4))
+    need = _strong_need(n, ALPHA1)
 
     strong_ok: list[int] = []
     weak_candidates: list[list[tuple[int, ...]]] = []
     gaps: list[int] = []
     for v in range(n):
-        if is_strongly_absorbable(g, v, v, ALPHA1):
+        if _strong_count(g._out, g._in, v, v, need) >= need:
             strong_ok.append(v)
             continue
         found = enumerate_weak_absorbers(g, v, v, ALPHA1,

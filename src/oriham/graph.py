@@ -296,8 +296,9 @@ class DiCycle:
             return False
         if any(not (0 <= v < g.n) for v in vs):
             return False
-        return all(g.has_arc(a, b)
-                   for a, b in zip(vs, vs[1:] + vs[:1]))
+        # every id is in range now, so the bitsets are read directly
+        out = g._out
+        return all(out[a] >> b & 1 for a, b in zip(vs, vs[1:] + vs[:1]))
 
 
 def verify_hamilton_cycle(g: OrientedGraph, cycle: "DiCycle | Iterable[int]") -> bool:

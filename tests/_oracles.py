@@ -20,8 +20,12 @@ one-draw-at-a-time reversal loop that ``random_min_semidegree`` must
 reproduce; it takes its starting tournament and seeded stream from the
 library.  ``near_regular_oracle`` lists the circulant tournament's arcs one
 offset at a time, relabelled through the library's seeded stream.
+``reservoir_options_reference`` is the reservoir's per-pair rule written
+over the flat ``enumerate_connectors`` list, and ``strong_draw_reference``
+the eager strong-absorber draw that places every sampled rank at once.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -29,7 +33,8 @@ from oriham.absorption import (connectivity_profile, default_reservoir_size,
                                enumerate_connectors)
 from oriham.extremal import (SIZE_ROUNDING_ALLOWANCE, ExtremalityReport,
                              near_regular_tournament)
-from oriham.graph import DiPath, OrientedGraph, Partition4, iter_bits, mask_of
+from oriham.graph import (DiPath, OrientedGraph, Partition4, iter_bits, mask_of,
+                          nth_bit)
 from oriham.hamilton import CoverResult
 from oriham.seeds import rng_for
 
@@ -266,6 +271,35 @@ def reservoir_oracle(g, avoid=(), target_size=None, prefer=None, stats=None):
         covered.update(pair for pair, opts in stage.items()
                        if any(tup in kept for tup in opts))
     return frozenset(chosen)
+
+
+def reservoir_options_reference(g, u, v, k, bad):
+    """The first 8 of the first 64 k-connectors of (u, v) that avoid the
+    bitmask ``bad``, filtered from the flat connector list."""
+    return [t for t in enumerate_connectors(g, u, v, k, cap=64)
+            if not mask_of(t) & bad][:8]
+
+
+def strong_draw_reference(g, v, avoid, k, rng):
+    """Up to k strong absorbers (w, z) of v outside the bitmask ``avoid``:
+    ``rng.sample`` over their lexicographic ranks, every rank placed at
+    once by bisecting the prefix popcounts over in(v)."""
+    out = g._out
+    ex = ~(1 << v | avoid)
+    from_v = out[v] & ex
+    ws, zsets, starts = [], [], []
+    total = 0
+    for w in iter_bits(g._in[v] & ex):
+        if zs := out[w] & from_v:
+            ws.append(w)
+            zsets.append(zs)
+            starts.append(total)
+            total += zs.bit_count()
+    picks = []
+    for rank in rng.sample(range(total), min(k, total)):
+        i = bisect_right(starts, rank) - 1
+        picks.append((ws[i], nth_bit(zsets[i], rank - starts[i])))
+    return picks
 
 
 def slacks_oracle(g, part, eta, c_eta):

@@ -97,6 +97,50 @@ def test_connectors_match_oracle(seed):
             assert all(g.has_arc(seq[i], seq[i + 1]) for i in range(len(seq) - 1))
 
 
+def _scan_graphs():
+    for n in range(6, 41):
+        yield random_oriented(n, (0.3, 0.5, 0.75)[n % 3], derive_seed(0, "scan", n))
+
+
+def test_connector_caps_cut_the_uncapped_list():
+    # the flattened blocks stop at the cap wherever it falls in a block
+    for g in _scan_graphs():
+        rng = rng_for(g.n, "caps")
+        u, v = rng.sample(range(g.n), 2)
+        for k in (1, 2, 3):
+            full = enumerate_connectors(g, u, v, k)
+            if g.n <= 8:
+                assert full == _oracles.connectors_oracle(g, u, v, k)
+            for cap in range(1, len(full) + 2):
+                assert enumerate_connectors(g, u, v, k, cap=cap) == full[:cap]
+
+
+def test_reservoir_scan_matches_filtered_prefix(dense192):
+    # the block scan keeps what the flat rule keeps: the first 8 of the
+    # first 64 connectors that avoid bad
+    cases = [(g, rng_for(g.n, "scan")) for g in _scan_graphs()]
+    cases.append((dense192, rng_for(192, "scan")))
+    cut_in_block = short = 0
+    for g, rng in cases:
+        for _ in range(4):
+            u, v = rng.sample(range(g.n), 2)
+            bads = [mask_of(rng.sample(range(g.n), rng.randint(0, g.n // 2)))]
+            for k in (1, 2, 3):
+                first = enumerate_connectors(g, u, v, k, cap=64 + g.n)
+                if len(first) > 64 and first[63][:-1] == first[64][:-1]:
+                    # the scan cuts inside the block of the 64th connector;
+                    # with only that connector and the block's tail allowed,
+                    # the 64th must be kept and every later one dropped
+                    cut_in_block += 1
+                    tail = [t[-1] for t in first[64:] if t[:-1] == first[63][:-1]]
+                    bads.append(g.full_mask() & ~mask_of((*first[63], *tail)))
+                for bad in bads:
+                    want = _oracles.reservoir_options_reference(g, u, v, k, bad)
+                    assert absorption._reservoir_options(g, u, v, k, bad) == want
+                    short += len(want) < 8
+    assert cut_in_block and short
+
+
 def test_profile_matches_oracle():
     for i in range(12):
         n = 6 + i % 3
@@ -543,13 +587,13 @@ def test_reservoir_matches_eager_oracle(monkeypatch, dense192):
     # the lazy walk keeps exactly the vertices of the eager all-pairs
     # selection, with and without avoid/prefer, through stages 2 and 3
     walked_k = set()
-    enumerate_all = absorption.enumerate_connectors
+    scan = absorption._reservoir_options
 
-    def recording(g, u, v, k, cap=None):
+    def recording(g, u, v, k, bad):
         walked_k.add(k)
-        return enumerate_all(g, u, v, k, cap)
+        return scan(g, u, v, k, bad)
 
-    monkeypatch.setattr(absorption, "enumerate_connectors", recording)
+    monkeypatch.setattr(absorption, "_reservoir_options", recording)
     stats = {}
     cases = [(random_oriented(n, (0.25, 0.5, 1.0)[n % 3], derive_seed(0, "eager", n)),
               variant, (None, n // 2, n)[(n + variant) % 3])
@@ -569,21 +613,22 @@ def test_reservoir_matches_eager_oracle(monkeypatch, dense192):
 
 
 def test_reservoir_work_bound(monkeypatch, dense192):
-    # guards the lazy walk: the eager selection called enumerate_connectors
-    # once per non-arc pair, 18,336 times on this graph; the lazy one stops
+    # guards the lazy walk: the eager selection scanned the connectors of
+    # every non-arc pair, 18,336 of them on this graph; the lazy one stops
     # after the 7 pairs that fill the 6-vertex budget
     g = dense192
     calls = []
-    enumerate_all = absorption.enumerate_connectors
+    scan = absorption._reservoir_options
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return enumerate_all(*args, **kwargs)
+        return scan(*args, **kwargs)
 
-    monkeypatch.setattr(absorption, "enumerate_connectors", counting)
+    monkeypatch.setattr(absorption, "_reservoir_options", counting)
     res = build_reservoir(g, ())
     assert len(res.vertices) == default_reservoir_size(192)
     assert g.n * (g.n - 1) - g.arc_count == 18336
+    assert calls
     assert len(calls) <= 18336 // 1000
 
 
@@ -700,11 +745,31 @@ def test_strong_draw_samples_ranks_of_the_lexicographic_list():
             k = absorption.ABSORB_PER_PAIR_CAP
             want = [eligible[r] for r in random.Random(v).sample(
                 range(len(eligible)), min(k, len(eligible)))]
-            assert absorption._draw_strong_absorbers(
-                g, v, avoid, k, random.Random(v)) == want
+            assert list(absorption._draw_strong_absorbers(
+                g, v, avoid, k, random.Random(v))) == want
             every = absorption._draw_strong_absorbers(
                 g, v, avoid, len(eligible) + 1, random.Random(v))
             assert sorted(every) == eligible
+
+
+def test_lazy_strong_draw_matches_eager_draw():
+    # the draw places a rank only when read, from the same rng.sample call
+    for seed in range(6):
+        g = random_oriented(20 + 4 * seed, (0.4, 0.6, 0.8)[seed % 3],
+                            derive_seed(seed, "draw"))
+        pick = rng_for(seed, "draw-avoid")
+        for v in range(g.n):
+            avoid = mask_of(pick.sample(range(g.n), pick.randint(0, g.n // 3)))
+            total = sum(not mask_of(tup) & avoid
+                        for tup in enumerate_strong_absorbers(g, v, v))
+            for k in (1, absorption.ABSORB_PER_PAIR_CAP, total + 1):
+                lazy_rng, eager_rng = random.Random(v), random.Random(v)
+                draw = absorption._draw_strong_absorbers(g, v, avoid, k, lazy_rng)
+                want = _oracles.strong_draw_reference(g, v, avoid, k, eager_rng)
+                assert lazy_rng.getstate() == eager_rng.getstate()
+                assert len(draw) == min(k, total) == len(want)
+                assert draw[:1] == want[:1]
+                assert [draw[i] for i in range(len(want))] == want
 
 
 @pytest.mark.parametrize(("n", "p", "seed"), [(9, 0.5, 2), (10, 0.7, 19), (12, 0.5, 6)])

@@ -232,6 +232,15 @@ def test_verify_hamilton_cycle():
     assert not verify_hamilton_cycle(C3, [])
 
 
+@pytest.mark.parametrize("bad", [-3, -1, 5, 9])
+def test_verify_hamilton_cycle_out_of_range_id_mid_sequence(bad):
+    # the arcs are read off the bitsets only after every id is range
+    # checked: -3 would index vertex 2's row and 9 lie past the rows
+    g = cycle_graph(5)
+    assert not verify_hamilton_cycle(g, [0, 1, bad, 3, 4])
+    assert not DiCycle((0, 1, bad, 3, 4)).is_valid_in(g)
+
+
 def test_verify_hamilton_cycle_numpy_vertices():
     # n > 63: a shift by np.int64 used to overflow inside has_arc
     g = cycle_graph(70)

@@ -370,13 +370,13 @@ def test_pipeline_searches_no_connector_on_empty_graph(monkeypatch):
     # a pair with no out-neighbour of u or no in-neighbour of v to route
     # through has no connector, so the reservoir never searches one
     calls = []
-    real = absorption.enumerate_connectors
+    real = absorption._reservoir_options
 
     def counting(*args, **kwargs):
         calls.append(args[1:4])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(absorption, "enumerate_connectors", counting)
+    monkeypatch.setattr(absorption, "_reservoir_options", counting)
     res = find_hamilton_absorption(OrientedGraph.empty(64))
     assert res.verdict == "not_found"
     assert calls == []
