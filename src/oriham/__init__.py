@@ -34,9 +34,8 @@ from .absorption import (AbsorbingPath, CapacityExhaustedError,
                          build_reservoir, connect_through_reservoir,
                          connectivity_profile, count_strong_absorbers,
                          enumerate_connectors, enumerate_strong_absorbers,
-                         enumerate_weak_absorbers, is_strongly_absorbable,
-                         default_reservoir_size, default_strong_target,
-                         select_disjoint_family)
+                         enumerate_weak_absorbers, default_reservoir_size,
+                         default_strong_target, select_disjoint_family)
 from .generators import random_min_semidegree, random_oriented
 from .hamilton import (CertificateError, CoverResult, HamiltonResult,
                        StageRecord, TooLargeError, exact_brute, exact_dp,

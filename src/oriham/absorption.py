@@ -61,7 +61,7 @@ class NoConnectorAvailableError(LookupError):
 
 
 class StitchFailureError(RuntimeError):
-    """Selected gadgets could not be chained into one path."""
+    """A registry gadget is not laid out on its absorbing path (a bug)."""
 
 
 class CapacityExhaustedError(RuntimeError):
@@ -296,17 +296,6 @@ def count_strong_absorbers(g: OrientedGraph, u: int, v: int) -> int:
     return _strong_count(g._out, g._in, u, v, math.inf)
 
 
-def is_strongly_absorbable(g: OrientedGraph, u: int, v: int,
-                           alpha1: Fraction) -> bool:
-    """Whether (u, v) has at least alpha1 * n^2 strong absorbers.  The
-    count stops once it reaches ceil(alpha1 * n^2), so on a dense graph one
-    or two in-neighbours of u decide."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    need = _strong_need(g.n, alpha1)
-    return _strong_count(g._out, g._in, u, v, need) >= need
-
-
 class _StrongDraw(Sequence):
     """Read-only draw: item i is the pair of the i-th sampled rank, placed
     when read by bisecting the prefix popcounts for w, then ``nth_bit``."""
@@ -406,9 +395,9 @@ def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
 
 
 def select_disjoint_family(lists: Iterable[Sequence[tuple[int, ...]]],
-                           limit: int | None) -> list[tuple[int, ...]]:
-    """A pairwise vertex-disjoint family of at most ``limit`` candidate
-    tuples, sorted.
+                           limit: int) -> list[tuple[int, ...]]:
+    """A pairwise vertex-disjoint family of at most ``limit`` (at least 1)
+    candidate tuples, sorted.
 
     The candidate lists are read round-robin by rank in the order given,
     so every list's first tuple gets a look before any list's second; a
@@ -420,6 +409,8 @@ def select_disjoint_family(lists: Iterable[Sequence[tuple[int, ...]]],
     sigma / 2^7 divided by a falling factorial of n, which is close to
     zero at every n a graph here can have, so every tuple is offered.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     kept: list[tuple[int, ...]] = []
     used: set[int] = set()
 
@@ -431,7 +422,7 @@ def select_disjoint_family(lists: Iterable[Sequence[tuple[int, ...]]],
         for rank in range(1, max(map(len, read), default=0)):
             yield from (tuples[rank] for tuples in read if rank < len(tuples))
 
-    for tup in map(tuple, by_rank() if limit is None or limit > 0 else ()):
+    for tup in map(tuple, by_rank()):
         if used.isdisjoint(tup):
             kept.append(tup)
             used.update(tup)
@@ -662,7 +653,7 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
     what remains), and stitch the gadgets into one directed path.
 
     A vertex is strongly absorbable when it has at least ceil(ALPHA1 * n^2)
-    strong absorbers (the rule of ``is_strongly_absorbable``), and weakly
+    strong absorbers, counted until that many are found, and weakly
     absorbable when it has at least ALPHA2 * n^4 weak absorbers among those
     the enumeration budget reaches.  A weakly absorbable vertex's
     candidates are the first ABSORB_PER_PAIR_CAP of them, read off the same
@@ -681,7 +672,8 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
     Vertices with neither gadget type are reported in ``gaps`` rather than
     raised: tiny or sparse graphs legitimately have none, and callers can
     still proceed with a degenerate (possibly empty) absorbing path.
-    Gadgets whose stitching finds no connector are dropped and counted.
+    Gadgets whose stitching finds no connector are dropped and counted,
+    all of them if need be, which leaves the path empty.
     """
     n = g.n
     tw = max(1, math.ceil(ALPHA2 * n ** 4))
@@ -747,9 +739,6 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
         else:
             strong_gadgets.append(StrongGadget(*tup))
 
-    if units and not path:
-        raise StitchFailureError(
-            f"none of the {len(units)} selected gadgets could be stitched")
     result = AbsorbingPath(tuple(path), tuple(strong_gadgets), tuple(weak_gadgets),
                            tuple(gaps), dropped)
     result.validate(g)

@@ -100,24 +100,18 @@ def _manifest(command: str, input_bytes: bytes, seed: int,
     }
 
 
-class _NonStrKey(Exception):
-    """A dict key that json.dumps would convert and sort its own way."""
-
-
 def _dumps(obj) -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``, faster.
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)``, faster, on the
+    documents the CLI emits: dicts with str keys, lists and tuples, and
+    str, int, bool or None leaves.  Any other key or leaf raises TypeError.
 
     CPython's C encoder ignores ``indent``: with it set, ``json.dumps`` runs
     the pure-Python encoder, several times slower on a report as large as
     ``absorbers``'.  Here each container is joined once, and a list of
     equal-length int lists (``absorbers``' members) is written from one
-    format template.  A document with any non-string key goes to
-    ``json.dumps`` whole, since json sorts such keys before converting them.
+    format template.
     """
-    try:
-        return _encode(obj, "\n")
-    except _NonStrKey:
-        return json.dumps(obj, sort_keys=True, indent=2)
+    return _encode(obj, "\n")
 
 
 def _encode(o, nl: str) -> str:
@@ -146,13 +140,13 @@ def _encode(o, nl: str) -> str:
         if not o:
             return "{}"
         if not all(map(isinstance, o, repeat(str))):
-            raise _NonStrKey
+            raise TypeError(f"keys must be str, got {sorted(map(repr, o))}")
         keys = sorted(o)
         inner = nl + "  "
         heads = map(str.__add__, map(_encode_str, keys), repeat(": "))
         bodies = [_encode(o[key], inner) for key in keys]
         return "{" + inner + ("," + inner).join(map(str.__add__, heads, bodies)) + nl + "}"
-    return json.dumps(o)
+    raise TypeError(f"cannot encode {type(o).__name__} {o!r}")
 
 
 def _row_template(rows, nl: str) -> str | None:
@@ -373,8 +367,9 @@ def cmd_solve(args) -> int:
 
 def _value(entry: dict, key: str, default=None, convert=int):
     """``convert`` of the entry's ``key``, or of ``default`` if the key is
-    optional and absent; a failed conversion is a ValueError naming the key."""
-    value = entry[key] if default is None else entry.get(key, default)
+    optional and absent (None if required); a failed conversion is a
+    ValueError naming the key."""
+    value = entry.get(key, default)
     try:
         return convert(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -490,7 +485,7 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"entry {idx}: unknown kind {kind!r}")
         try:
             result = _SWEEPS[kind](entry, derive_seed(args.seed, "sweep", idx))
-        except (GraphError, InfeasibleParamsError, TooLargeError, KeyError,
+        except (GraphError, InfeasibleParamsError, TooLargeError,
                 ValueError) as exc:
             result = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
         if not result["ok"]:

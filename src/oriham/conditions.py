@@ -2,8 +2,7 @@
 
 Each checker returns a ConditionReport whose margin is an exact rational:
 nonnegative margin means the condition holds, and the recorded witness
-reproduces the margin on recomputation.  A margin of None is the +infinity
-sentinel for vacuously satisfied conditions (nothing to quantify over).
+reproduces the margin on recomputation.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ def frac_json(x: Fraction) -> dict:
 class ConditionReport:
     condition: str
     satisfied: bool
-    margin: Fraction | None  # None = vacuous (+inf)
+    margin: Fraction
     witness: Any = None
     strong: bool | None = None  # strong-connectivity flag, where relevant
 
@@ -36,7 +35,7 @@ class ConditionReport:
         d: dict[str, Any] = {
             "condition": self.condition,
             "satisfied": self.satisfied,
-            "margin": None if self.margin is None else frac_json(self.margin),
+            "margin": frac_json(self.margin),
             "witness": self.witness,
         }
         if self.strong is not None:
@@ -58,9 +57,10 @@ def in_degree_masks(g: OrientedGraph) -> dict[int, int]:
     return dict(sorted(masks.items()))
 
 
-def _min_pair_sum(g: OrientedGraph) -> tuple[Fraction, tuple[int, int]] | None:
+def _min_pair_sum(g: OrientedGraph) -> tuple[Fraction, tuple[int, int]]:
     """Smallest deg+(x) + deg-(y) over the non-arc pairs (x, y), with the
-    first pair in (x, y) order that attains it as the witness.
+    first pair in (x, y) order that attains it as the witness.  For n >= 2
+    one exists: of two vertices, at most one direction is an arc.
 
     For each x, the lowest in-degree class that meets ``non_out_bits(x)``
     gives x's smallest sum, and its lowest vertex the first partner at it.
@@ -75,7 +75,7 @@ def _min_pair_sum(g: OrientedGraph) -> tuple[Fraction, tuple[int, int]] | None:
             if non_out & mask:
                 best = (out_x + d, (x, next(iter_bits(non_out & mask))))
                 break
-    return None if best is None else (Fraction(best[0]), best[1])
+    return Fraction(best[0]), best[1]
 
 
 def check_ore(g: OrientedGraph) -> ConditionReport:
@@ -83,10 +83,7 @@ def check_ore(g: OrientedGraph) -> ConditionReport:
     non-adjacent pair (x, y), x != y.  Requires n >= 2."""
     if g.n < 2:
         raise HypothesisViolatedError("Ore-type check requires n >= 2")
-    found = _min_pair_sum(g)
-    if found is None:
-        return ConditionReport("ore", True, None)
-    minimum, witness = found
+    minimum, witness = _min_pair_sum(g)
     margin = minimum - ore_threshold(g.n)
     return ConditionReport("ore", margin >= 0, margin, witness)
 
@@ -123,13 +120,10 @@ def check_woodall(g: OrientedGraph) -> ConditionReport:
     pair, on strongly connected inputs (connectivity reported alongside)."""
     if g.n < 2:
         raise HypothesisViolatedError("pair-bound check requires n >= 2")
-    found = _min_pair_sum(g)
-    strong = strongly_connected(g)
-    if found is None:
-        return ConditionReport("woodall", True, None, strong=strong)
-    minimum, witness = found
+    minimum, witness = _min_pair_sum(g)
     margin = minimum - g.n
-    return ConditionReport("woodall", margin >= 0, margin, witness, strong=strong)
+    return ConditionReport("woodall", margin >= 0, margin, witness,
+                           strong=strongly_connected(g))
 
 
 def check_nash_williams(g: OrientedGraph) -> ConditionReport:
@@ -148,7 +142,7 @@ def check_nash_williams(g: OrientedGraph) -> ConditionReport:
     d_out = sorted(g.out_degree(v) for v in range(n))
     d_in = sorted(g.in_degree(v) for v in range(n))
 
-    worst: Fraction | None = None
+    worst: Fraction | None = None  # n >= 3 checks i = 1, so this gets set
     witness = None
     for i in range(1, (n + 1) // 2):  # integers i with i < n/2
         first = max(d_out[i - 1] - (i + 1), d_in[n - i - 1] - (n - i))
@@ -156,9 +150,6 @@ def check_nash_williams(g: OrientedGraph) -> ConditionReport:
         for clause, slack in (("out-first", first), ("in-first", second)):
             if worst is None or slack < worst:
                 worst, witness = Fraction(slack), (i, clause)
-    if worst is None:
-        return ConditionReport("nash-williams", True, None,
-                               strong=strongly_connected(g))
     return ConditionReport("nash-williams", worst >= 0, worst, witness,
                            strong=strongly_connected(g))
 

@@ -67,7 +67,7 @@ class ExtremalParams:
 def table_params(n: int, a: int, *, ac_extra: int = 0, d_extra: int = 0,
                  seed: int = 0) -> ExtremalParams:
     """Resolve class sizes for order n and |A| = a, checking feasibility:
-    0 <= a <= |C| and ceil(a/2) <= |D|."""
+    0 <= a <= |C|, which for n >= 7 implies ceil(a/2) <= |D|."""
     if n < 7:
         raise InfeasibleParamsError(f"need n >= 7, got {n}")
     k, residue = divmod(n, 4)
@@ -81,8 +81,6 @@ def table_params(n: int, a: int, *, ac_extra: int = 0, d_extra: int = 0,
         size_b, size_c, size_d = k + 2, 2 * k - a, k + 1
     if a < 0 or size_c < 0 or a > size_c:
         raise InfeasibleParamsError(f"a = {a} outside [0, |C|] for n = {n}")
-    if (a + 1) // 2 > size_d:
-        raise InfeasibleParamsError(f"ceil(a/2) exceeds |D| for (n, a) = ({n}, {a})")
     if ac_extra < 0 or d_extra < 0:
         raise InfeasibleParamsError("extra-arc counts must be nonnegative")
     return ExtremalParams(n, a, size_b, size_c, size_d, sharp_bound(n),

@@ -91,10 +91,6 @@ class OrientedGraph:
 
     # -- construction ------------------------------------------------------
 
-    @classmethod
-    def empty(cls, n: int) -> "OrientedGraph":
-        return cls(n)
-
     def add_arc(self, u: int, v: int) -> "OrientedGraph":
         """Return a new graph with arc (u, v) added.
 

@@ -1,7 +1,7 @@
 """Hamilton-cycle solvers.
 
-Two exact solvers (factorial-time search for tiny graphs, bitmask dynamic
-programming up to a configurable cap) and a heuristic pipeline that builds
+Two exact solvers (factorial-time search and bitmask dynamic programming,
+each up to a fixed graph size) and a heuristic pipeline that builds
 an absorbing path, a connector reservoir and a greedy path cover, stitches
 everything into one cycle and absorbs the leftovers.  Exact solvers decide;
 the heuristic only ever answers "cycle found" (with a verified certificate)
@@ -17,8 +17,8 @@ import numpy as np
 
 from .absorption import (AbsorbingPath, CapacityExhaustedError,
                          NoConnectorAvailableError, Reservoir,
-                         StitchFailureError, VertexNotAbsorbableError,
-                         absorb_vertices, build_absorbing_path, build_reservoir,
+                         VertexNotAbsorbableError, absorb_vertices,
+                         build_absorbing_path, build_reservoir,
                          connect_through_reservoir)
 from .graph import (DiCycle, DiPath, OrientedGraph, iter_bits, mask_of,
                     nth_bit, verify_hamilton_cycle)
@@ -26,7 +26,7 @@ from .seeds import derive_seed, rng_for
 
 
 class TooLargeError(ValueError):
-    """The instance exceeds the solver's configured size cap."""
+    """The instance exceeds the exact solver's size cap."""
 
 
 class CertificateError(RuntimeError):
@@ -72,12 +72,16 @@ class HamiltonResult:
 # -- exact solvers ----------------------------------------------------------------
 
 
-def exact_brute(g: OrientedGraph, max_n: int = 10) -> HamiltonResult:
+BRUTE_MAX_N = 10  # exact_brute's size cap
+DP_MAX_N = 24  # exact_dp's size cap; the sweeps skip larger graphs
+
+
+def exact_brute(g: OrientedGraph) -> HamiltonResult:
     """Depth-first search over all cycles anchored at vertex 0, visiting
     out-neighbours in ascending order; returns the lexicographically first
-    Hamilton cycle or decides none exists."""
-    if g.n > max_n:
-        raise TooLargeError(f"n = {g.n} exceeds brute-force cap {max_n}")
+    Hamilton cycle or decides none exists, for n <= BRUTE_MAX_N."""
+    if g.n > BRUTE_MAX_N:
+        raise TooLargeError(f"n = {g.n} exceeds brute-force cap {BRUTE_MAX_N}")
     n = g.n
     if n == 0:
         return HamiltonResult("none_exists")
@@ -101,8 +105,7 @@ def exact_brute(g: OrientedGraph, max_n: int = 10) -> HamiltonResult:
     return HamiltonResult("none_exists")
 
 
-_ENDS = np.uint32  # endpoint sets: one bit per vertex
-DP_MAX_N = 24  # exact_dp's default cap; the sweeps skip larger graphs
+_ENDS = np.uint32  # endpoint sets: one bit per vertex, so n <= 32
 
 
 def _endpoint_table(g: OrientedGraph) -> np.ndarray:
@@ -130,20 +133,18 @@ def _endpoint_table(g: OrientedGraph) -> np.ndarray:
     return dp
 
 
-def exact_dp(g: OrientedGraph, max_n: int = DP_MAX_N) -> HamiltonResult:
+def exact_dp(g: OrientedGraph) -> HamiltonResult:
     """Held-Karp reachability over (visited set, endpoint) states anchored
     at vertex 0, with certificate reconstruction on success.
 
-    The table holds 2**(n-1) uint32 endpoint sets, so n is capped at 32
-    whatever ``max_n`` says.  Time and peak process RSS (about 32 MB of it
-    interpreter and numpy) on one core of a shared Xeon host, numpy 2.4:
-    0.05 s / 38 MB at n = 20, 0.25 s / 53 MB at 22, 1.8 s / 114 MB at 24.
+    The table holds 2**(n-1) uint32 endpoint sets, so n above DP_MAX_N
+    raises TooLargeError first.  Time and peak process RSS (about 32 MB of
+    it interpreter and numpy) on one core of a shared Xeon host, numpy
+    2.4: 0.05 s / 38 MB at n = 20, 0.25 s / 53 MB at 22, 1.8 s / 114 MB at 24.
     """
     n = g.n
-    cap = min(max_n, np.iinfo(_ENDS).bits)
-    if n > cap:
-        raise TooLargeError(f"n = {n} exceeds subset-DP cap {cap} "
-                            f"(max_n = {max_n}, 32-bit endpoint sets)")
+    if n > DP_MAX_N:
+        raise TooLargeError(f"n = {n} exceeds subset-DP cap {DP_MAX_N}")
     if n == 0:
         return HamiltonResult("none_exists")
     dp = _endpoint_table(g)
@@ -277,20 +278,13 @@ def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
     if g.n == 0:
         return fail("cover", {"reason": "empty graph"})
 
-    # absorbing path
-    try:
-        p_abs = build_absorbing_path(g, seed=derive_seed(seed, "absorb"))
-        note = {}
-    except StitchFailureError as exc:
-        p_abs = AbsorbingPath(())
-        note = {"stitch_degraded": str(exc)}
+    p_abs = build_absorbing_path(g, seed=derive_seed(seed, "absorb"))
     trace.append(StageRecord("absorbing_path", True, {
         "vertices": len(p_abs.path),
         "strong_gadgets": len(p_abs.strong),
         "weak_gadgets": len(p_abs.weak),
         "classification_gaps": len(p_abs.gaps),
         "dropped_gadgets": p_abs.dropped,
-        **note,
     }))
 
     # reservoir, preferring vertices the registry can absorb later

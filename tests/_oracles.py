@@ -179,7 +179,7 @@ def near_regular_oracle(m, seed=None):
     dropping the phantom vertex m, then relabelled by the shuffle of the
     seeded ``"tournament"`` stream."""
     if m <= 1:
-        return OrientedGraph.empty(m)
+        return OrientedGraph(m)
     base = m if m % 2 == 1 else m + 1
     arcs = []
     for u in range(base):

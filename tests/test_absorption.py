@@ -29,7 +29,6 @@ from oriham import (
     enumerate_strong_absorbers,
     enumerate_weak_absorbers,
     generate_extremal,
-    is_strongly_absorbable,
     random_min_semidegree,
     random_oriented,
     select_disjoint_family,
@@ -223,7 +222,7 @@ STRONG3 = OrientedGraph(3, [(1, 2), (1, 0), (0, 2)])
 def test_strong_absorbers_planted():
     assert enumerate_strong_absorbers(STRONG3, 0, 0) == [(1, 2)]
     assert count_strong_absorbers(STRONG3, 0, 0) == 1
-    assert enumerate_strong_absorbers(OrientedGraph.empty(4), 0, 1) == []
+    assert enumerate_strong_absorbers(OrientedGraph(4), 0, 1) == []
 
 
 def test_strong_absorbers_pair():
@@ -261,19 +260,24 @@ def test_strong_absorbers_reject_out_of_range(bad):
             count_strong_absorbers(g, u, v)
         with pytest.raises(OutOfRangeError):
             enumerate_strong_absorbers(g, u, v)
-        with pytest.raises(OutOfRangeError):
-            is_strongly_absorbable(g, u, v, Fraction(1, 100))
+
+
+def strongly_absorbable(g, u, v, alpha1):
+    """The rule ``build_absorbing_path`` classifies with: a count stopped
+    at ceil(alpha1 * n^2) reaches it."""
+    need = absorption._strong_need(g.n, alpha1)
+    return absorption._strong_count(g._out, g._in, u, v, need) >= need
 
 
 def test_strongly_absorbable_threshold():
     assert count_strong_absorbers(STRONG3, 0, 0) == 1
-    assert is_strongly_absorbable(STRONG3, 0, 0, Fraction(1, 9))
-    assert not is_strongly_absorbable(STRONG3, 0, 0, Fraction(1, 8))
+    assert strongly_absorbable(STRONG3, 0, 0, Fraction(1, 9))
+    assert not strongly_absorbable(STRONG3, 0, 0, Fraction(1, 8))
 
 
 def test_negative_alpha1_is_rejected():
     with pytest.raises(ValueError, match="alpha1 must not be negative"):
-        is_strongly_absorbable(STRONG3, 0, 0, Fraction(-1))
+        strongly_absorbable(STRONG3, 0, 0, Fraction(-1))
     with pytest.raises(ValueError, match="alpha1 must not be negative"):
         enumerate_weak_absorbers(WEAK6, 0, 1, Fraction(-1, 100))
 
@@ -289,7 +293,7 @@ def test_strongly_absorbable_early_exit_keeps_verdicts():
                   for u in range(n) for v in range(n)}
         for alpha1 in alphas:
             threshold = alpha1 * n * n
-            assert all(is_strongly_absorbable(g, u, v, alpha1) == (c >= threshold)
+            assert all(strongly_absorbable(g, u, v, alpha1) == (c >= threshold)
                        for (u, v), c in counts.items())
 
 
@@ -360,25 +364,28 @@ def test_weak_absorbers_match_reference(n):
 
 def test_family_disjoint_candidates_all_kept():
     cand = [[(i,)] for i in range(10)]
-    assert select_disjoint_family(cand, None) == [(i,) for i in range(10)]
+    assert select_disjoint_family(cand, 10) == [(i,) for i in range(10)]
+    assert select_disjoint_family(cand, 11) == [(i,) for i in range(10)]
 
 
 def test_family_shared_vertex_collapses():
     star = [[(0,)], [(0,)], [(0,)]]
-    assert select_disjoint_family(star, None) == [(0,)]
+    assert select_disjoint_family(star, 3) == [(0,)]
 
 
 def test_family_max_size():
     cand = [[(i,)] for i in range(10)]
     assert select_disjoint_family(cand, 4) == [(0,), (1,), (2,), (3,)]
-    assert select_disjoint_family(cand, 0) == []
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            select_disjoint_family(cand, limit)
 
 
 def test_family_order():
     # lists are read in the order given
     cand = [[(1, 2), (3, 4)], [(0, 1), (6, 7)]]
-    assert select_disjoint_family(cand, None) == [(1, 2), (3, 4), (6, 7)]
-    assert select_disjoint_family(cand[::-1], None) == [(0, 1), (3, 4), (6, 7)]
+    assert select_disjoint_family(cand, 4) == [(1, 2), (3, 4), (6, 7)]
+    assert select_disjoint_family(cand[::-1], 4) == [(0, 1), (3, 4), (6, 7)]
     # each list's first tuple is offered before any list's second, and the
     # family comes back sorted
     cand = [[(4, 5), (2, 3)], [(0, 1), (6, 7)]]
@@ -399,7 +406,7 @@ def test_family_members_pairwise_disjoint():
     g, part = generate_extremal(table_params(13, 1))
     pairs = [(b, d) for b in sorted(part.B)[:2] for d in sorted(part.D)[:2]]
     cand = [enumerate_strong_absorbers(g, *pr, cap=20) for pr in pairs]
-    fam = select_disjoint_family(cand, None)
+    fam = select_disjoint_family(cand, g.n)
     assert fam
     used = set()
     for tup in fam:
@@ -709,7 +716,7 @@ def test_build_classifies_with_strong_absorbability_threshold():
     # absorbers, so it is not strongly absorbable and gets no gadget
     g = OrientedGraph(100, [(1, 0), (0, 2), (0, 3), (1, 2), (1, 3)])
     assert count_strong_absorbers(g, 0, 0) == 2
-    assert not is_strongly_absorbable(g, 0, 0, absorption.ALPHA1)
+    assert not strongly_absorbable(g, 0, 0, absorption.ALPHA1)
     P = build_absorbing_path(g)
     assert P.path == ()
     assert P.gaps == tuple(range(100))
@@ -729,7 +736,7 @@ def test_build_enumerates_weak_absorbers_once_per_vertex(monkeypatch):
     P = build_absorbing_path(g)
     assert P.weak == (WeakGadget(3, 5, 0, 4),)
     assert calls == [(v, v) for v in range(g.n)
-                     if not is_strongly_absorbable(g, v, v, absorption.ALPHA1)]
+                     if not strongly_absorbable(g, v, v, absorption.ALPHA1)]
 
 
 def test_strong_draw_samples_ranks_of_the_lexicographic_list():

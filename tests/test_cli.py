@@ -1,15 +1,18 @@
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oriham import (OrientedGraph, emit_edge_list, generate_extremal, parse_edge_list,
+from oriham import (OrientedGraph, emit_edge_list, exact_dp, find_hamilton_absorption,
+                    generate_extremal, parse_edge_list, random_min_semidegree,
                     random_oriented, table_params)
 from oriham import cli, graph
 from oriham.cli import main
+from oriham.seeds import derive_seed
 
 import _oracles
 
@@ -147,6 +150,31 @@ def test_check_sparse_set_id_out_of_range(tmp_path, capsys, ids):
     assert err.startswith("error:") and "outside [0, 12)" in err
 
 
+@pytest.mark.parametrize("condition, text", [("gh", "0 0\n"), ("woodall", "1 0\n")])
+def test_check_below_minimum_order_is_usage_error(tmp_path, capsys, condition, text):
+    path = tmp_path / "tiny.edges"
+    path.write_text(text)
+    rc, out, err = run(capsys, ["check", "--condition", condition, "--input", str(path)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "requires n >=" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--condition", "sparse-set", "--sigma", "1/0"], "not a rational number"),
+    (["check", "--condition", "sparse-set", "--sigma", "x"], "not a rational number"),
+    (["check", "--condition", "sparse-set", "--set", "0,x"], "expected comma-separated ids"),
+    (["absorbers", "--pair", "1"], "expected 'u,v'"),
+    (["absorbers", "--pair", "1,x"], "expected integers"),
+])
+def test_argument_type_errors_exit_2(tmp_path, capsys, argv, message):
+    path = write_graph(tmp_path, cycle_graph(3))
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, "--input", path])
+    assert ei.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_check_missing_file(capsys):
     rc, _, err = run(capsys, ["check", "--condition", "ore",
                               "--input", "/no/such/file"])
@@ -224,6 +252,23 @@ def test_score_partition_bad_classes(tmp_path, capsys):
                                   "--partition", str(pfile), "--eta", "1/20"])
         assert rc == 2
         assert message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read"),
+    ("{", "invalid JSON"),
+    ('{"A": [0, 1], "B": [1], "C": [2], "D": [3]}', "bad partition"),
+])
+def test_score_partition_file_errors(tmp_path, capsys, text, message):
+    path = write_graph(tmp_path, cycle_graph(4))
+    pfile = tmp_path / "part.json"
+    if text is not None:
+        pfile.write_text(text)
+    rc, out, err = run(capsys, ["score-partition", "--input", path,
+                                "--partition", str(pfile), "--eta", "1/20"])
+    assert rc == 2
+    assert out == ""
+    assert f"{pfile}" in err and message in err
 
 
 def test_score_partition_rejects_boolean_ids(tmp_path, capsys):
@@ -453,6 +498,15 @@ def test_solve_absorb(tmp_path, capsys):
     assert json.loads(out)["result"]["verdict"] == "not_found"
 
 
+def test_solve_absorb_empty_graph_fails_at_cover(tmp_path, capsys):
+    path = write_graph(tmp_path, OrientedGraph(0))
+    rc, out, _ = run(capsys, ["solve", "--input", path, "--method", "absorb"])
+    assert rc == 1
+    res = json.loads(out)["result"]
+    assert res["verdict"] == "not_found"
+    assert [(r["stage"], r["ok"]) for r in res["trace"]] == [("cover", False)]
+
+
 def test_generate_solve_pipeline_roundtrip(tmp_path, capsys):
     out = tmp_path / "x.edges"
     run(capsys, ["generate", "--n", "13", "--a", "1", "--seed", "4",
@@ -555,6 +609,8 @@ def test_sweep_rejects_negative_counts(tmp_path, capsys):
     ({"kind": "oracle", "arc_prob": "1/0"}, "arc_prob"),
     ({"kind": "pipeline", "min_rate": "1/0"}, "min_rate"),
     ({"kind": "sharpness", "n": 1e999, "a": 0}, "n"),
+    ({"kind": "sharpness", "a": 0}, "n"),  # a missing required key reads None
+    ({"kind": "robustness", "n": 8}, "a"),
 ])
 def test_sweep_bad_number_is_row_error(tmp_path, capsys, entry, key):
     spec = tmp_path / "spec.json"
@@ -564,6 +620,71 @@ def test_sweep_bad_number_is_row_error(tmp_path, capsys, entry, key):
     rows = json.loads(out)["rows"]
     assert [r["ok"] for r in rows] == [False, True]
     assert rows[0]["error"].startswith(f"ValueError: {key} = ")
+
+
+def test_sweep_lets_a_solver_key_error_escape(tmp_path, capsys, monkeypatch):
+    # a KeyError inside a solver is a bug, not a malformed entry
+    def broken(g, seed=0):
+        raise KeyError("route")
+
+    monkeypatch.setattr(cli, "find_hamilton_absorption", broken)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"kind": "pipeline", "count": 1}]))
+    with pytest.raises(KeyError, match="route"):
+        main(["sweep", "--spec", str(spec)])
+
+
+def test_sweep_robustness_counts_hamiltonian_instances(tmp_path, capsys):
+    entry = {"kind": "robustness", "n": 9, "a": 0, "ac_extra": 3, "d_extra": 2,
+             "seeds": 4}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([entry]))
+    rc, out, _ = run(capsys, ["sweep", "--spec", str(spec), "--seed", "5"])
+    row = json.loads(out)["rows"][0]
+    seed = derive_seed(5, "sweep", 0)
+    found = sum(exact_dp(generate_extremal(table_params(
+        9, 0, ac_extra=3, d_extra=2, seed=derive_seed(seed, "robustness", i)))[0]
+    ).found for i in range(4))
+    assert row == {"index": 0, "kind": "robustness", "n": 9, "a": 0,
+                   "ac_extra": 3, "d_extra": 2, "seeds": 4,
+                   "hamiltonian_found": found, "ok": found == 0}
+    assert rc == (0 if found == 0 else 3)
+
+
+def test_sweep_pipeline_counts_direct_solves(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"kind": "pipeline", "count": 3, "n_min": 24,
+                                 "n_max": 26, "min_rate": "1/3"}]))
+    rc, out, _ = run(capsys, ["sweep", "--spec", str(spec), "--seed", "2"])
+    row = json.loads(out)["rows"][0]
+    seed = derive_seed(2, "sweep", 0)
+    successes = 0
+    for i in range(3):
+        inst = derive_seed(seed, "pipeline", i)
+        n = 24 + inst % 3
+        g = random_min_semidegree(n, -(-3 * n // 8), inst)
+        successes += find_hamilton_absorption(g, seed=inst).found
+    assert (row["instances"], row["successes"]) == (3, successes)
+    rate = Fraction(successes, 3)
+    assert row["rate"] == {"num": rate.numerator, "den": rate.denominator}
+    assert row["ok"] == (successes >= 1)
+    assert rc == (0 if successes >= 1 else 3)
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read"),
+    ("[", "invalid JSON"),
+    ('{"entries": 5}', "expected a list of entries"),
+    ('"sweep"', "expected a list of entries"),
+])
+def test_sweep_spec_errors(tmp_path, capsys, text, message):
+    spec = tmp_path / "spec.json"
+    if text is not None:
+        spec.write_text(text)
+    rc, out, err = run(capsys, ["sweep", "--spec", str(spec)])
+    assert rc == 2
+    assert out == ""
+    assert f"{spec}" in err and message in err
 
 
 def test_sweep_unknown_kind(tmp_path, capsys):
@@ -592,6 +713,16 @@ def reference_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def emittable(obj) -> bool:
+    """Whether ``obj`` has the shape of a CLI document: dicts with str
+    keys, lists and tuples, and str, int, bool or None leaves."""
+    if isinstance(obj, dict):
+        return all(isinstance(k, str) and emittable(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return all(map(emittable, obj))
+    return obj is None or isinstance(obj, (str, int))
+
+
 names = st.text(max_size=4)
 
 
@@ -614,7 +745,7 @@ def int_rows(draw):
 
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.text(),
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
                   | st.dictionaries(names, kids, max_size=4) | record_maps()
                   | int_rows()),
@@ -650,7 +781,13 @@ def test_dumps_matches_json(obj):
     -7,
 ])
 def test_dumps_edge_shapes(obj):
-    assert cli._dumps(obj) == reference_dumps(obj)
+    # a float or a non-str key is no CLI document: json.dumps would accept
+    # it, and _dumps raises TypeError
+    if emittable(obj):
+        assert cli._dumps(obj) == reference_dumps(obj)
+    else:
+        with pytest.raises(TypeError):
+            cli._dumps(obj)
 
 
 def test_certify_reports_match_json(tmp_path, capsys, monkeypatch):

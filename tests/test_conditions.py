@@ -44,7 +44,7 @@ def test_ore_threshold_values():
 
 def test_non_arc_pairs():
     assert sorted(non_arc_pairs(C3)) == [(0, 2), (1, 0), (2, 1)]
-    assert list(non_arc_pairs(OrientedGraph.empty(2))) == [(0, 1), (1, 0)]
+    assert list(non_arc_pairs(OrientedGraph(2))) == [(0, 1), (1, 0)]
 
 
 def test_ore_cycle3():
@@ -76,14 +76,14 @@ def test_ore_extremal_just_below():
 
 
 def test_ore_empty_pair_graph():
-    rep = check_ore(OrientedGraph.empty(2))
+    rep = check_ore(OrientedGraph(2))
     assert not rep.satisfied
     assert rep.margin == Fraction(-3, 4)
 
 
 def test_ore_requires_two_vertices():
     with pytest.raises(HypothesisViolatedError):
-        check_ore(OrientedGraph.empty(1))
+        check_ore(OrientedGraph(1))
 
 
 def test_semidegree_cycle3():
@@ -105,7 +105,7 @@ def test_semidegree_single_arc():
 
 def test_semidegree_requires_vertex():
     with pytest.raises(HypothesisViolatedError):
-        check_semidegree_consequence(OrientedGraph.empty(0))
+        check_semidegree_consequence(OrientedGraph(0))
 
 
 def test_ghouila_houri_cycle3():
@@ -175,7 +175,7 @@ def test_nash_williams_regular7():
 
 def test_nash_williams_requires_three():
     with pytest.raises(HypothesisViolatedError):
-        check_nash_williams(OrientedGraph.empty(2))
+        check_nash_williams(OrientedGraph(2))
 
 
 def test_sparse_set_empty():
@@ -220,7 +220,7 @@ arc_sets = st.lists(
 
 
 def build(n, pairs):
-    g = OrientedGraph.empty(n)
+    g = OrientedGraph(n)
     for u, v in pairs:
         try:
             g = g.add_arc(u, v)

@@ -361,7 +361,7 @@ def test_find_partition_rejects_random_tournament():
 
 
 def test_find_partition_tiny_graph():
-    assert find_extremal_partition(OrientedGraph.empty(3), Fraction(1, 10)) is None
+    assert find_extremal_partition(OrientedGraph(3), Fraction(1, 10)) is None
 
 
 SEARCH_ETAS = (Fraction(1, 100), Fraction(1, 20), Fraction(1, 3))

@@ -43,7 +43,7 @@ def test_emit_parse_round_trip():
 
 @given(st.integers(1, 8), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7))))
 def test_round_trip_random(n, pairs):
-    g = OrientedGraph.empty(n)
+    g = OrientedGraph(n)
     for u, v in pairs:
         if u < n and v < n:
             try:

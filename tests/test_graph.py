@@ -35,7 +35,7 @@ T3 = OrientedGraph(3, [(0, 1), (0, 2), (1, 2)])
 
 
 def test_empty_graph():
-    g = OrientedGraph.empty(4)
+    g = OrientedGraph(4)
     assert g.n == 4
     assert g.arc_count == 0
     assert g.arcs() == []
@@ -43,7 +43,7 @@ def test_empty_graph():
 
 
 def test_add_arc_is_persistent():
-    g = OrientedGraph.empty(3)
+    g = OrientedGraph(3)
     h = g.add_arc(0, 1)
     assert g.arc_count == 0
     assert h.arc_count == 1
@@ -172,12 +172,12 @@ def test_from_adjacency_rejections():
         with pytest.raises(GraphError) as exc:
             OrientedGraph.from_adjacency(np.zeros(shape, bool))
         assert type(exc.value) is GraphError
-    assert OrientedGraph.from_adjacency(np.zeros((0, 0), bool)) == OrientedGraph.empty(0)
+    assert OrientedGraph.from_adjacency(np.zeros((0, 0), bool)) == OrientedGraph(0)
 
 
 @given(arc_lists)
 def test_insertion_never_creates_two_cycles(pairs):
-    g = OrientedGraph.empty(8)
+    g = OrientedGraph(8)
     for u, v in pairs:
         try:
             g = g.add_arc(u, v)
@@ -271,8 +271,8 @@ def test_partition_of_and_lookup():
     assert part.class_of(3) == "C"
     assert part.sizes() == {"A": 2, "B": 1, "C": 1, "D": 1}
     assert part.support() == frozenset(range(5))
-    assert part.covers(OrientedGraph.empty(5))
-    assert not part.covers(OrientedGraph.empty(6))
+    assert part.covers(OrientedGraph(5))
+    assert not part.covers(OrientedGraph(6))
 
 
 def test_partition_rejects_overlap():
@@ -297,10 +297,10 @@ def test_partition_empty_classes():
 def test_strongly_connected():
     assert strongly_connected(C3)
     assert not strongly_connected(T3)
-    assert strongly_connected(OrientedGraph.empty(1))
-    assert not strongly_connected(OrientedGraph.empty(2))
+    assert strongly_connected(OrientedGraph(1))
+    assert not strongly_connected(OrientedGraph(2))
     with pytest.raises(OutOfRangeError):
-        strongly_connected(OrientedGraph.empty(0))
+        strongly_connected(OrientedGraph(0))
 
 
 def test_extremal_instance_strongly_connected():

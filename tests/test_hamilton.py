@@ -59,16 +59,16 @@ def test_brute_cycle3():
 
 def test_brute_negative_cases():
     assert exact_brute(T3).verdict == "none_exists"
-    assert exact_brute(OrientedGraph.empty(0)).verdict == "none_exists"
-    assert exact_brute(OrientedGraph.empty(1)).verdict == "none_exists"
+    assert exact_brute(OrientedGraph(0)).verdict == "none_exists"
+    assert exact_brute(OrientedGraph(1)).verdict == "none_exists"
     g, _ = generate_extremal(table_params(7, 0))
     assert exact_brute(g).verdict == "none_exists"
 
 
 def test_brute_size_cap():
-    with pytest.raises(TooLargeError):
-        exact_brute(OrientedGraph.empty(11))
-    assert exact_brute(OrientedGraph.empty(11), max_n=11).verdict == "none_exists"
+    with pytest.raises(TooLargeError, match="brute-force cap 10"):
+        exact_brute(OrientedGraph(hamilton.BRUTE_MAX_N + 1))
+    assert exact_brute(OrientedGraph(hamilton.BRUTE_MAX_N)).verdict == "none_exists"
 
 
 def test_dp_cycle16():
@@ -79,24 +79,19 @@ def test_dp_cycle16():
 
 
 def test_dp_negative_cases():
-    assert exact_dp(OrientedGraph.empty(0)).verdict == "none_exists"
-    assert exact_dp(OrientedGraph.empty(1)).verdict == "none_exists"
+    assert exact_dp(OrientedGraph(0)).verdict == "none_exists"
+    assert exact_dp(OrientedGraph(1)).verdict == "none_exists"
     g, _ = generate_extremal(table_params(16, 1))
     assert exact_dp(g).verdict == "none_exists"
 
 
-def test_dp_size_cap():
-    with pytest.raises(TooLargeError):
-        exact_dp(OrientedGraph.empty(25))
-
-
-def test_dp_endpoint_width_cap(monkeypatch):
+def test_dp_size_cap(monkeypatch):
     def allocate(g):
-        raise AssertionError("table allocated before the width check")
+        raise AssertionError("table allocated before the size check")
 
     monkeypatch.setattr(hamilton, "_endpoint_table", allocate)
-    with pytest.raises(TooLargeError, match="endpoint"):
-        exact_dp(OrientedGraph.empty(33), max_n=40)
+    with pytest.raises(TooLargeError, match="subset-DP cap 24"):
+        exact_dp(OrientedGraph(hamilton.DP_MAX_N + 1))
 
 
 def _drop_arcs(g, keep):
@@ -211,7 +206,7 @@ arc_lists = st.lists(
 
 @given(arc_lists)
 def test_brute_agrees_with_dp(pairs):
-    g = OrientedGraph.empty(8)
+    g = OrientedGraph(8)
     for u, v in pairs:
         try:
             g = g.add_arc(u, v)
@@ -245,7 +240,7 @@ def test_cover_single_cycle():
 
 
 def test_cover_no_arcs_truncates():
-    cov = greedy_path_cover(OrientedGraph.empty(5), (), 3)
+    cov = greedy_path_cover(OrientedGraph(5), (), 3)
     assert len(cov.paths) == 3
     assert all(len(p.vertices) == 1 for p in cov.paths)
     assert cov.truncated
@@ -297,7 +292,7 @@ def _cover_cases():
     for n in range(41):
         for i, density in enumerate((0.1, 0.3, 0.5, 0.7, 0.9)):
             yield random_oriented(n, density, 100 * n + i)
-    yield OrientedGraph.empty(7)
+    yield OrientedGraph(7)
 
 
 def test_path_cover_matches_oracle():
@@ -361,9 +356,44 @@ def test_pipeline_extremal_fails_at_stitch():
 
 
 def test_pipeline_never_claims_nonexistence():
-    g = OrientedGraph.empty(8)
+    g = OrientedGraph(8)
     res = find_hamilton_absorption(g)
     assert res.verdict == "not_found"
+
+
+def test_pipeline_records_an_absorbing_path_whose_gadgets_all_dropped(monkeypatch):
+    # random_oriented(8, 0.7, 36) selects two weak gadgets and no strong
+    # one, and neither stitches: the path is empty and both are counted
+    selected = []
+    real = absorption.select_disjoint_family
+
+    def recording(lists, limit):
+        family = real(lists, limit)
+        selected.extend(family)
+        return family
+
+    g = random_oriented(8, 0.7, 36)
+    monkeypatch.setattr(absorption, "select_disjoint_family", recording)
+    p_abs = absorption.build_absorbing_path(g, seed=derive_seed(0, "absorb"))
+    monkeypatch.undo()
+    assert len(selected) == 2
+    assert (p_abs.path, p_abs.dropped) == ((), 2)
+    res = find_hamilton_absorption(g, seed=0)
+    assert res.trace[0] == StageRecord("absorbing_path", True, {
+        "vertices": 0, "strong_gadgets": 0, "weak_gadgets": 0,
+        "classification_gaps": 1, "dropped_gadgets": 2})
+    assert res.first_failure() == "stitch"
+
+
+def test_pipeline_lets_a_gadget_layout_bug_escape(monkeypatch):
+    # validate's StitchFailureError means the registry and the path
+    # disagree, which no input should cause: it is raised, not recorded
+    def broken(self, g):
+        raise absorption.StitchFailureError("gadget misplaced")
+
+    monkeypatch.setattr(absorption.AbsorbingPath, "validate", broken)
+    with pytest.raises(absorption.StitchFailureError, match="gadget misplaced"):
+        find_hamilton_absorption(random_min_semidegree(24, 9, 1), seed=0)
 
 
 def test_pipeline_searches_no_connector_on_empty_graph(monkeypatch):
@@ -377,7 +407,7 @@ def test_pipeline_searches_no_connector_on_empty_graph(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(absorption, "_reservoir_options", counting)
-    res = find_hamilton_absorption(OrientedGraph.empty(64))
+    res = find_hamilton_absorption(OrientedGraph(64))
     assert res.verdict == "not_found"
     assert calls == []
 
@@ -386,7 +416,7 @@ def test_pipeline_fails_fast_on_empty_graph_at_max_order():
     # the cover only tries to insert vertices with arcs from and to the
     # path, and the reservoir skips pairs without a connector
     start = time.perf_counter()
-    res = find_hamilton_absorption(OrientedGraph.empty(MAX_VERTICES))
+    res = find_hamilton_absorption(OrientedGraph(MAX_VERTICES))
     assert time.perf_counter() - start < 5.0
     assert res.verdict == "not_found"
     assert res.first_failure() == "stitch"
