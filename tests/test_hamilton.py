@@ -85,13 +85,24 @@ def test_dp_negative_cases():
     assert exact_dp(g).verdict == "none_exists"
 
 
-def test_dp_size_cap(monkeypatch):
+def test_dp_size_cap():
+    with pytest.raises(TooLargeError, match="subset-DP cap 24"):
+        exact_dp(OrientedGraph(hamilton.DP_MAX_N + 1))
+
+
+def test_dp_endpoint_width_cap(monkeypatch):
+    # Endpoint sets hold one bit per vertex, so the cap must stay within
+    # their width, and a graph too wide for them is refused before the
+    # table is allocated.
+    width = hamilton._ENDS().nbytes * 8
+    assert hamilton.DP_MAX_N <= width
+
     def allocate(g):
         raise AssertionError("table allocated before the size check")
 
     monkeypatch.setattr(hamilton, "_endpoint_table", allocate)
-    with pytest.raises(TooLargeError, match="subset-DP cap 24"):
-        exact_dp(OrientedGraph(hamilton.DP_MAX_N + 1))
+    with pytest.raises(TooLargeError, match="subset-DP cap"):
+        exact_dp(OrientedGraph(width + 1))
 
 
 def _drop_arcs(g, keep):
