@@ -39,5 +39,6 @@ from .absorption import (AbsorbingPath, CapacityExhaustedError,
 from .generators import random_min_semidegree, random_oriented
 from .hamilton import (CertificateError, CoverResult, HamiltonResult,
                        StageRecord, TooLargeError, exact_brute, exact_dp,
-                       find_hamilton_absorption, greedy_path_cover)
+                       find_hamilton_absorption, greedy_path_cover,
+                       hall_witness)
 from .seeds import derive_seed, rng_for

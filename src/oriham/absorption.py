@@ -35,8 +35,8 @@ from itertools import accumulate, islice, repeat
 
 import numpy as np
 
-from .graph import (DiPath, InvalidPathError, OrientedGraph, iter_bits, mask_of,
-                    nth_bit)
+from .graph import (DiPath, InvalidPathError, OrientedGraph, augment, iter_bits,
+                    mask_of, nth_bit)
 from .seeds import derive_seed
 
 Pair = tuple[int, int]
@@ -748,20 +748,6 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
 # -- leftover absorption -----------------------------------------------------------
 
 
-def _augment(left, edges: dict, owner: dict, seen: set) -> bool:
-    """Kuhn's augmenting step: look for an alternating path from the
-    unmatched node ``left`` over ``edges`` (left node -> right nodes, in
-    preference order) and flip it into ``owner`` (right node -> left node).
-    ``seen`` collects the right nodes visited; returns whether one was found."""
-    for right in edges[left]:
-        if right not in seen:
-            seen.add(right)
-            if right not in owner or _augment(owner[right], edges, owner, seen):
-                owner[right] = left
-                return True
-    return False
-
-
 def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
                     leftovers: Iterable[int]) -> AbsorbingPath:
     """Splice every leftover vertex into the absorbing path.
@@ -792,46 +778,44 @@ def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
         raise ValueError(f"leftovers {sorted(overlap)} already on the path")
     for v in todo:
         g.check_vertex(v)
-    for v in todo:
-        if not any(gad.serves(g, v, v) for gad in p_abs.strong + p_abs.weak):
-            raise VertexNotAbsorbableError(v)
-
-    strong = {v: [("strong", i) for i in p_abs.hosts(g, v, v)] for v in todo}
-    edges = {v: strong[v] + [("weak", i) for i, gad in enumerate(p_abs.weak)
-                             if gad.serves(g, v, v)] for v in todo}
+    # right nodes: strong gadget i is bit i and weak gadget i bit s + i, so
+    # a leftover tries its strong hosts, then its weak ones, each ascending
+    s = len(p_abs.strong)
+    strong = {v: (mask_of(p_abs.hosts(g, v, v)),) for v in todo}
+    edges = {v: (strong[v][0] | mask_of(i for i, gad in enumerate(p_abs.weak)
+                                        if gad.serves(g, v, v)) << s,)
+             for v in todo}
+    if unserved := [v for v in todo if not edges[v][0]]:
+        raise VertexNotAbsorbableError(unserved[0])
     owner: dict = {}
     for i, gad in enumerate(p_abs.weak):
-        edges[("inner", i)] = [("weak", i)] + [
-            ("strong", j) for j in p_abs.hosts(g, gad.wp, gad.zp)]
-        owner[("weak", i)] = ("inner", i)
+        edges[("inner", i)] = (1 << (s + i), mask_of(p_abs.hosts(g, gad.wp, gad.zp)))
+        owner[s + i] = ("inner", i)
     # inner pairs hold only weak gadgets here, so no strong-only path meets one
-    unmatched = [v for v in todo if not _augment(v, strong, owner, set())]
-    for v in unmatched:
-        _augment(v, edges, owner, set())
+    for v in [v for v in todo if augment(v, strong, owner) is not None]:
+        augment(v, edges, owner)
     route = {left: right for right, left in owner.items()}
-    unplaced = [v for v in todo if v not in route]
-    if unplaced:
+    if unplaced := [v for v in todo if v not in route]:
         raise CapacityExhaustedError(unplaced)
 
     path = list(p_abs.path)
     for v in todo:
-        kind, i = route[v]
+        i = route[v]
         insert = [v]
-        if kind == "weak":
-            gad = p_abs.weak[i]
+        if i >= s:
+            gad = p_abs.weak[i - s]
             a, b = path.index(gad.w), path.index(gad.z)
             insert = path[a + 1:b]  # runs gad.wp .. gad.zp
             path[a + 1:b] = [v]
-            _, i = route[("inner", i)]
+            i = route[("inner", i - s)]
         k = path.index(p_abs.strong[i].w) + 1
         path[k:k] = insert
 
     result = replace(
         p_abs, path=tuple(path),
-        strong=tuple(gad for i, gad in enumerate(p_abs.strong)
-                     if ("strong", i) not in owner),
+        strong=tuple(gad for i, gad in enumerate(p_abs.strong) if i not in owner),
         weak=tuple(gad for i, gad in enumerate(p_abs.weak)
-                   if owner[("weak", i)] == ("inner", i)))
+                   if owner[s + i] == ("inner", i)))
     if ((result.start, result.end) != (p_abs.start, p_abs.end)
             or set(result.path) != set(p_abs.path) | set(todo)):
         raise InvalidPathError(f"absorbing {todo} moved a path endpoint "

@@ -39,7 +39,7 @@ from .fileio import EdgeListParseError, emit_edge_list, parse_edge_list
 from .generators import random_min_semidegree, random_oriented
 from .graph import GraphError, OrientedGraph, OutOfRangeError, Partition4
 from .hamilton import (DP_MAX_N, TooLargeError, exact_brute, exact_dp,
-                       find_hamilton_absorption)
+                       find_hamilton_absorption, hall_witness)
 from .seeds import derive_seed
 
 SCHEMA = "oriham/1"
@@ -382,11 +382,14 @@ def _sweep_sharpness(entry: dict, seed: int) -> dict:
     g, part = generate_extremal(params)
     pair = find_sharp_pair(g, params.bound)
     sizes_ok = tuple(len(part.classes()[lab]) for lab in "ABCD") == params.sizes
-    verdict = exact_dp(g).verdict if n <= DP_MAX_N else "skipped"
+    witness = hall_witness(g) if n > DP_MAX_N else None
+    verdict = (exact_dp(g).verdict if n <= DP_MAX_N
+               else "none_exists" if witness else "skipped")
     ok = sizes_ok and pair is not None and verdict in ("none_exists", "skipped")
     return {"n": n, "a": a, "bound": params.bound,
             "sharp_pair": list(pair) if pair else None,
-            "sizes_ok": sizes_ok, "hamilton_verdict": verdict, "ok": ok}
+            "sizes_ok": sizes_ok, "hamilton_verdict": verdict, "ok": ok,
+            **({"hall_set_size": len(witness[0])} if witness else {})}
 
 
 def _sweep_robustness(entry: dict, seed: int) -> dict:

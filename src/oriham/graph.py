@@ -69,6 +69,32 @@ def nth_bit(mask: int, k: int) -> int:
     return lo
 
 
+def augment(root, prefs, owner: dict) -> int | None:
+    """Kuhn's augmenting step, iterative, from the unmatched left node
+    ``root``: a left node tries the first unvisited right node (a bit) of
+    its ``prefs`` masks, in order and each ascending, and descends into its
+    owner.  A free one flips the path into ``owner`` (right -> left) and
+    returns None; else the mask of visited right nodes, all owned, returns."""
+    seen, lefts, rights = 0, [root], []  # rights[i] leads lefts[i] to lefts[i + 1]
+    while lefts:
+        for mask in prefs[lefts[-1]]:
+            if fresh := mask & ~seen:
+                break
+        else:
+            lefts.pop()
+            del rights[-1:]
+            continue
+        low = fresh & -fresh
+        seen |= low
+        rights.append(low.bit_length() - 1)
+        if rights[-1] not in owner:
+            for left, right in zip(lefts, rights):
+                owner[right] = left
+            return None
+        lefts.append(owner[rights[-1]])
+    return seen
+
+
 class OrientedGraph:
     """Immutable oriented graph on vertex ids 0..n-1."""
 
@@ -172,10 +198,7 @@ class OrientedGraph:
 
     def min_semidegree(self) -> int:
         """min over all vertices of both out- and in-degree (0 for n=0)."""
-        if self.n == 0:
-            return 0
-        return min(min(o.bit_count() for o in self._out),
-                   min(i.bit_count() for i in self._in))
+        return min(map(int.bit_count, self._out + self._in), default=0)
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs sorted lexicographically."""
@@ -340,12 +363,6 @@ class Partition4:
 
     def support(self) -> frozenset[int]:
         return self.A | self.B | self.C | self.D
-
-    def class_of(self, v: int) -> str:
-        for label, xs in self.classes().items():
-            if v in xs:
-                return label
-        raise KeyError(f"vertex {v} not in any class")
 
     def covers(self, g: OrientedGraph) -> bool:
         return self.support() == frozenset(range(g.n))

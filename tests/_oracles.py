@@ -23,6 +23,9 @@ offset at a time, relabelled through the library's seeded stream.
 ``reservoir_options_reference`` is the reservoir's per-pair rule written
 over the flat ``enumerate_connectors`` list, and ``strong_draw_reference``
 the eager strong-absorber draw that places every sampled rank at once.
+``absorb_reference`` is the leftover matching with the recursive Kuhn
+step, over (kind, index) gadget nodes, that ``absorb_vertices`` must
+reproduce route for route; ``hall_violator_oracle`` tries every vertex set.
 """
 
 from bisect import bisect_right
@@ -366,7 +369,8 @@ def partition_search_oracle(g, eta, c_eta=Fraction(1), seed=0,
             improved = False
             for v in range(n):
                 for dst in "ABCD":
-                    src = current.class_of(v)
+                    src = next(label for label, xs in current.classes().items()
+                               if v in xs)
                     if dst == src:
                         continue
                     classes = {k: set(s) for k, s in current.classes().items()}
@@ -423,6 +427,78 @@ def absorb_assignment_oracle(g, P, leftovers):
         if len(set(strong)) == len(strong) and len(set(weak)) == len(weak):
             return dict(zip(leftovers, choice))
     return None
+
+
+def _kuhn_step(left, edges, owner, seen):
+    """Recursive augmenting step: find an alternating path from ``left``
+    over ``edges`` (left node -> right nodes in preference order) and flip
+    it into ``owner`` (right node -> left node)."""
+    for right in edges[left]:
+        if right not in seen:
+            seen.add(right)
+            if right not in owner or _kuhn_step(owner[right], edges, owner, seen):
+                owner[right] = left
+                return True
+    return False
+
+
+def absorb_reference(g, P, leftovers):
+    """What ``absorb_vertices`` returns for sorted distinct ``leftovers``
+    that some gadget serves each: (path, strong, weak), or the list of
+    unplaced vertices when the matching leaves some.  Leftovers augment
+    over their strong hosts ascending, then the unmatched ones over strong
+    then weak hosts; an inner pair prefers its own weak gadget, then the
+    strong hosts of (w', z')."""
+    def serves(gad, u, v):
+        return g.has_arc(gad.w, u) and g.has_arc(v, gad.z)
+
+    todo = sorted(set(leftovers))
+    strong = {v: [("strong", i) for i, gad in enumerate(P.strong)
+                  if serves(gad, v, v)] for v in todo}
+    edges = {v: strong[v] + [("weak", i) for i, gad in enumerate(P.weak)
+                             if serves(gad, v, v)] for v in todo}
+    owner = {}
+    for i, gad in enumerate(P.weak):
+        edges[("inner", i)] = [("weak", i)] + [
+            ("strong", j) for j, s in enumerate(P.strong) if serves(s, gad.wp, gad.zp)]
+        owner[("weak", i)] = ("inner", i)
+    unmatched = [v for v in todo if not _kuhn_step(v, strong, owner, set())]
+    for v in unmatched:
+        _kuhn_step(v, edges, owner, set())
+    route = {left: right for right, left in owner.items()}
+    unplaced = [v for v in todo if v not in route]
+    if unplaced:
+        return unplaced
+    path = list(P.path)
+    for v in todo:
+        kind, i = route[v]
+        insert = [v]
+        if kind == "weak":
+            gad = P.weak[i]
+            a, b = path.index(gad.w), path.index(gad.z)
+            insert = path[a + 1:b]
+            path[a + 1:b] = [v]
+            _, i = route[("inner", i)]
+        k = path.index(P.strong[i].w) + 1
+        path[k:k] = insert
+    return (tuple(path),
+            tuple(gad for i, gad in enumerate(P.strong) if ("strong", i) not in owner),
+            tuple(gad for i, gad in enumerate(P.weak)
+                  if owner[("weak", i)] == ("inner", i)))
+
+
+def hall_violator_oracle(g):
+    """Whether some vertex set S has fewer than |S| out-neighbours in all,
+    tried set by set (König: exactly when G has no cycle factor)."""
+    outs = [[w for w in range(g.n) if g.has_arc(v, w)] for v in range(g.n)]
+    for bits in range(1, 1 << g.n):
+        members = [v for v in range(g.n) if bits >> v & 1]
+        reach = set()
+        for v in members:
+            reach.update(outs[v])
+        if len(reach) < len(members):
+            return True
+    return False
 
 
 def path_cover_oracle(g, avoid, max_paths, seed=0):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -917,13 +918,14 @@ def test_absorb_weak_route_needs_strong_rematch():
     assert P2.weak == ()
 
 
-def _random_registry(rng):
-    """A random absorbing path of 1-4 strong and 0-3 weak gadgets laid end
-    to end, 1-4 leftover vertices, and an arc of random direction on every
-    pair the path leaves free; vertex labels are shuffled."""
-    kinds = ["strong"] * rng.randint(1, 4) + ["weak"] * rng.randint(0, 3)
+def _random_registry(rng, strong=4, weak=3, leftovers=4):
+    """A random absorbing path of 1-``strong`` strong and 0-``weak`` weak
+    gadgets laid end to end, 1-``leftovers`` leftover vertices, and an arc
+    of random direction on every pair the path leaves free; vertex labels
+    are shuffled."""
+    kinds = ["strong"] * rng.randint(1, strong) + ["weak"] * rng.randint(0, weak)
     rng.shuffle(kinds)
-    n = 2 * kinds.count("strong") + 4 * kinds.count("weak") + rng.randint(1, 4)
+    n = 2 * kinds.count("strong") + 4 * kinds.count("weak") + rng.randint(1, leftovers)
     label = rng.sample(range(n), n)
     path, strong, weak = [], [], []
     for kind in kinds:
@@ -970,3 +972,31 @@ def test_absorb_succeeds_exactly_when_an_assignment_exists():
         assert P2.weak == tuple(gd for gd in P.weak if _intact(P2.path, gd))
         double_steps += len(P2.weak) < len(P.weak)
     assert feasible > 200 and double_steps > 40
+
+
+def test_absorb_routes_match_recursive_reference():
+    # the iterative search keeps the recursive Kuhn step's preference
+    # order, so every route, and with it every path, is the same; the
+    # larger registries reach inner pairs that move more than once
+    second_phase = double_steps = exhausted = 0
+    for label, sizes, count in [("absorb-routes", (4, 3, 4), 1000),
+                                ("absorb-routes-large", (8, 6, 8), 400)]:
+        rng = rng_for(1, label)
+        for _ in range(count):
+            g, P, leftovers = _random_registry(rng, *sizes)
+            todo = sorted(leftovers)
+            if not all(P.hosts(g, v, v) or any(gd.serves(g, v, v) for gd in P.weak)
+                       for v in todo):
+                continue
+            expected = _oracles.absorb_reference(g, P, todo)
+            strong_only = _oracles.absorb_reference(g, replace(P, weak=()), todo)
+            second_phase += isinstance(strong_only, list)
+            try:
+                P2 = absorb_vertices(g, P, leftovers)
+            except CapacityExhaustedError as exc:
+                assert list(exc.unplaced) == expected
+                exhausted += 1
+                continue
+            assert (P2.path, P2.strong, P2.weak) == expected
+            double_steps += len(P2.weak) < len(P.weak)
+    assert second_phase > 300 and double_steps > 80 and exhausted > 200

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oriham import (OrientedGraph, emit_edge_list, exact_dp, find_hamilton_absorption,
-                    generate_extremal, parse_edge_list, random_min_semidegree,
-                    random_oriented, table_params)
+                    feasible_a_values, generate_extremal, parse_edge_list,
+                    random_min_semidegree, random_oriented, table_params)
 from oriham import cli, graph
 from oriham.cli import main
 from oriham.seeds import derive_seed
@@ -539,6 +539,22 @@ def test_sweep_entries(tmp_path, capsys):
     assert rows[0]["hamilton_verdict"] == "none_exists"
     assert rows[0]["sharp_pair"] is not None
     assert rows[1]["disagreements"] == 0
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_sweep_sharpness_above_dp_cap_has_a_hall_set(tmp_path, capsys, n):
+    # S = B + C, whose out-neighbours C + D are one fewer
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"kind": "sharpness", "n": n, "a": a}
+                                for a in feasible_a_values(n)[:3]]))
+    rc, out, _ = run(capsys, ["sweep", "--spec", str(spec)])
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 3
+    for row in rows:
+        _, b, c, _ = table_params(n, row["a"]).sizes
+        assert row["hamilton_verdict"] == "none_exists" and row["ok"]
+        assert row["hall_set_size"] == b + c
 
 
 def test_sweep_partial_failure(tmp_path, capsys):

@@ -267,8 +267,8 @@ def test_verify_rotation_invariant(n, shift):
 
 def test_partition_of_and_lookup():
     part = Partition4.of([0, 1], [2], [3], [4])
-    assert part.class_of(0) == "A"
-    assert part.class_of(3) == "C"
+    assert part.classes()["A"] == frozenset({0, 1})
+    assert part.classes()["C"] == frozenset({3})
     assert part.sizes() == {"A": 2, "B": 1, "C": 1, "D": 1}
     assert part.support() == frozenset(range(5))
     assert part.covers(OrientedGraph(5))
@@ -278,12 +278,6 @@ def test_partition_of_and_lookup():
 def test_partition_rejects_overlap():
     with pytest.raises(ValueError):
         Partition4.of([0, 1], [1], [2], [3])
-
-
-def test_partition_class_of_missing():
-    part = Partition4.of([0], [1], [2], [3])
-    with pytest.raises(KeyError):
-        part.class_of(7)
 
 
 def test_partition_empty_classes():

@@ -23,9 +23,11 @@ from oriham import (
     TwoCycleError,
     exact_brute,
     exact_dp,
+    feasible_a_values,
     find_hamilton_absorption,
     generate_extremal,
     greedy_path_cover,
+    hall_witness,
     random_min_semidegree,
     random_oriented,
     table_params,
@@ -239,6 +241,118 @@ def test_result_serialization():
     assert d["certificate"] is None
 
 
+# -- cycle factor ----------------------------------------------------------------
+
+
+def _out_neighbourhood(g, vertices):
+    return {w for v in vertices for w in range(g.n) if g.has_arc(v, w)}
+
+
+def _check_hall(g, witness):
+    hall, reach = witness
+    assert hall == sorted(set(hall))
+    assert reach == len(_out_neighbourhood(g, hall)) < len(hall)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_hall_witness_agrees_with_exact_solvers(n):
+    # a Hall set means no Hamilton cycle; none means a cycle factor, which
+    # the pipeline then always tries
+    for p in (0.2, 0.5, 0.8):
+        for seed in range(8):
+            g = random_oriented(n, p, seed)
+            witness = hall_witness(g)
+            assert (witness is not None) == _oracles.hall_violator_oracle(g)
+            exact = exact_dp(g).verdict
+            if witness is not None:
+                _check_hall(g, witness)
+                assert exact == "none_exists"
+            if exact == "cycle_found":
+                res = find_hamilton_absorption(g, seed=seed)
+                assert res.trace[0].stage == "absorbing_path"
+
+
+@pytest.mark.parametrize("n", range(7, 18))
+def test_hall_witness_of_four_block_graphs(n):
+    for a in feasible_a_values(n):
+        g, part = generate_extremal(table_params(n, a, seed=n))
+        _check_hall(g, hall_witness(g))
+        assert _out_neighbourhood(g, part.B | part.C) == part.C | part.D
+        assert exact_dp(g).verdict == "none_exists"
+
+
+def test_hall_witness_on_small_graphs():
+    assert hall_witness(OrientedGraph(0)) is None
+    assert hall_witness(OrientedGraph(1)) == ([0], 0)
+    assert hall_witness(cycle_graph(5)) is None
+    # 0 -> 1 -> 2 -> 0 plus 3 -> 0: vertex 3 and the triangle vertex 2 both
+    # need head 0
+    g = OrientedGraph(4, [(0, 1), (1, 2), (2, 0), (3, 0)])
+    assert hall_witness(g) == ([2, 3], 1)
+
+
+@pytest.mark.parametrize(("g", "calls"), [
+    (random_min_semidegree(12, 4, 0), 0),  # 8 * 4 = 3 * 12 - 4: skipped
+    (random_min_semidegree(48, 18, 1), 0),
+    (random_min_semidegree(12, 3, 0), 1),
+    (generate_extremal(table_params(16, 1))[0], 1),
+], ids=["n12-boundary", "n48", "n12-below", "sharp16"])
+def test_pipeline_runs_the_cycle_factor_test_below_the_gate(monkeypatch, g, calls):
+    seen = []
+    real = hamilton.hall_witness
+
+    def counting(graph):
+        seen.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(hamilton, "hall_witness", counting)
+    find_hamilton_absorption(g, seed=0)
+    assert len(seen) == calls
+    assert (8 * g.min_semidegree() < 3 * g.n - 4) == bool(calls)
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_pipeline_stops_on_sharp_graphs_at_scale(a):
+    g, part = generate_extremal(table_params(1024, a, seed=0))
+    start = time.perf_counter()
+    res = find_hamilton_absorption(g)
+    assert time.perf_counter() - start < 2.0
+    assert res.verdict == "not_found" and res.first_failure() == "cover"
+    detail = res.trace[-1].detail
+    assert detail["hall_set"] == sorted(part.B | part.C)
+    assert detail["out_neighbourhood"] == len(part.C | part.D) == len(part.B | part.C) - 1
+
+
+OPTIMIZED_HALL_RUN = """
+import sys
+from oriham import CertificateError, generate_extremal, hamilton, table_params
+
+if not sys.flags.optimize:
+    sys.exit("expected python -O")
+g, _ = generate_extremal(table_params(12, 0))
+# a search that claims to have visited no head: S is one tail, which has
+# out-neighbours
+hamilton.augment = lambda root, prefs, owner: 0
+for run in (lambda: hamilton.hall_witness(g),
+            lambda: hamilton.find_hamilton_absorption(g)):
+    try:
+        run()
+    except CertificateError:
+        print("raised")
+    else:
+        print("returned")
+"""
+
+
+def test_hall_check_survives_optimize():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(hamilton.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_HALL_RUN], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["raised", "raised"]
+
+
 # -- path cover ------------------------------------------------------------------
 
 
@@ -353,8 +467,25 @@ def test_pipeline_finds_plain_cycle():
     assert res.first_failure() is None
 
 
-def test_pipeline_extremal_fails_at_stitch():
-    g, _ = generate_extremal(table_params(12, 0))
+def test_pipeline_extremal_stops_at_hall_set():
+    # S = B + C has only the |S| - 1 out-neighbours C + D: no cycle factor
+    g, part = generate_extremal(table_params(12, 0))
+    res = find_hamilton_absorption(g)
+    assert res.verdict == "not_found"
+    assert res.certificate is None
+    hall = sorted(part.B | part.C)
+    assert _out_neighbourhood(g, hall) == part.C | part.D
+    assert res.trace == (StageRecord("cover", False, {
+        "reason": "no cycle factor", "hall_set": hall,
+        "out_neighbourhood": len(hall) - 1}),)
+    assert res.first_failure() == "cover"
+    # the claim is only "not found"; the exact solver confirms none exists
+    assert exact_dp(g).verdict == "none_exists"
+
+
+def test_pipeline_fails_at_stitch_on_a_graph_with_a_cycle_factor():
+    g = random_oriented(6, 0.7, 1)
+    assert hall_witness(g) is None
     res = find_hamilton_absorption(g)
     assert res.verdict == "not_found"
     assert res.certificate is None
@@ -362,7 +493,6 @@ def test_pipeline_extremal_fails_at_stitch():
     assert len(failing) == 1
     assert failing[0] is res.trace[-1]
     assert res.first_failure() == "stitch"
-    # the claim is only "not found"; the exact solver confirms none exists
     assert exact_dp(g).verdict == "none_exists"
 
 
@@ -372,27 +502,47 @@ def test_pipeline_never_claims_nonexistence():
     assert res.verdict == "not_found"
 
 
-def test_pipeline_records_an_absorbing_path_whose_gadgets_all_dropped(monkeypatch):
-    # random_oriented(8, 0.7, 36) selects two weak gadgets and no strong
-    # one, and neither stitches: the path is empty and both are counted
+def _dropped_path(monkeypatch, g):
+    """The families build_absorbing_path selects on ``g``, and the path."""
     selected = []
     real = absorption.select_disjoint_family
 
     def recording(lists, limit):
         family = real(lists, limit)
-        selected.extend(family)
+        selected.append(family)
         return family
 
-    g = random_oriented(8, 0.7, 36)
     monkeypatch.setattr(absorption, "select_disjoint_family", recording)
     p_abs = absorption.build_absorbing_path(g, seed=derive_seed(0, "absorb"))
     monkeypatch.undo()
-    assert len(selected) == 2
+    return selected, p_abs
+
+
+def test_pipeline_records_an_absorbing_path_whose_gadgets_all_dropped(monkeypatch):
+    # random_oriented(8, 0.7, 36) selects two weak gadgets and no strong
+    # one, and neither stitches: the path is empty and both are counted
+    g = random_oriented(8, 0.7, 36)
+    (weak, strong), p_abs = _dropped_path(monkeypatch, g)
+    assert (len(weak), len(strong)) == (2, 0)
+    assert (p_abs.path, p_abs.dropped) == ((), 2)
+    # vertex 4 has no out-neighbour, so the pipeline stops before building it
+    res = find_hamilton_absorption(g, seed=0)
+    assert res.trace == (StageRecord("cover", False, {
+        "reason": "no cycle factor", "hall_set": [4], "out_neighbourhood": 0}),)
+    assert g.out_degree(4) == 0
+
+
+def test_pipeline_runs_with_all_gadgets_dropped(monkeypatch):
+    # random_oriented(11, 0.5, 49) has a cycle factor; it selects two weak
+    # gadgets and no strong one, and neither stitches
+    g = random_oriented(11, 0.5, 49)
+    (weak, strong), p_abs = _dropped_path(monkeypatch, g)
+    assert (len(weak), len(strong)) == (2, 0)
     assert (p_abs.path, p_abs.dropped) == ((), 2)
     res = find_hamilton_absorption(g, seed=0)
     assert res.trace[0] == StageRecord("absorbing_path", True, {
         "vertices": 0, "strong_gadgets": 0, "weak_gadgets": 0,
-        "classification_gaps": 1, "dropped_gadgets": 2})
+        "classification_gaps": 0, "dropped_gadgets": 2})
     assert res.first_failure() == "stitch"
 
 
@@ -424,13 +574,33 @@ def test_pipeline_searches_no_connector_on_empty_graph(monkeypatch):
 
 
 def test_pipeline_fails_fast_on_empty_graph_at_max_order():
-    # the cover only tries to insert vertices with arcs from and to the
-    # path, and the reservoir skips pairs without a connector
+    # vertex 0 alone has no out-neighbour, so there is no cycle factor
     start = time.perf_counter()
     res = find_hamilton_absorption(OrientedGraph(MAX_VERTICES))
     assert time.perf_counter() - start < 5.0
     assert res.verdict == "not_found"
-    assert res.first_failure() == "stitch"
+    assert res.trace == (StageRecord("cover", False, {
+        "reason": "no cycle factor", "hall_set": [0], "out_neighbourhood": 0}),)
+
+
+def test_reservoir_and_cover_fast_on_empty_graph_at_max_order(monkeypatch):
+    # the reservoir skips pairs without a connector, and the cover only
+    # tries to insert vertices with arcs from and to the path
+    calls = []
+    real = absorption._reservoir_options
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(absorption, "_reservoir_options", counting)
+    g = OrientedGraph(MAX_VERTICES)
+    start = time.perf_counter()
+    res = absorption.build_reservoir(g, ())
+    cover = greedy_path_cover(g, (), hamilton.MAX_PATHS)
+    assert time.perf_counter() - start < 5.0
+    assert res.vertices == frozenset() and calls == []
+    assert cover.truncated and len(cover.uncovered) == MAX_VERTICES - hamilton.MAX_PATHS
 
 
 def test_pipeline_consistent_with_dp():
@@ -547,13 +717,18 @@ def test_pipeline_outputs_pinned(n, s):
 
 
 def test_stage_records_serialize():
-    g, _ = generate_extremal(table_params(12, 0))
+    g, part = generate_extremal(table_params(12, 0))
     d = find_hamilton_absorption(g).to_json_dict()
     assert d["verdict"] == "not_found"
     assert d["certificate"] is None
+    assert d["trace"] == [{
+        "stage": "cover", "ok": False,
+        "detail": {"reason": "no cycle factor", "hall_set": sorted(part.B | part.C),
+                   "out_neighbourhood": 8}}]
+    d = find_hamilton_absorption(random_oriented(6, 0.7, 1)).to_json_dict()
     assert d["trace"][0]["stage"] == "absorbing_path"
     assert d["trace"][-1] == {
         "stage": "stitch", "ok": False,
-        "detail": {"attempts": 12, "units": 2}}
+        "detail": {"attempts": 12, "units": 3}}
     rec = StageRecord("cover", True, {"paths": 1})
     assert rec.stage == "cover" and rec.ok
