@@ -243,6 +243,18 @@ def connectivity_profile(g: OrientedGraph) -> ConnectivityProfile:
 # -- strong absorbers ----------------------------------------------------------
 
 
+def _strong_rows(out: Sequence[int], inn: Sequence[int], u: int, v: int,
+                 avoid: int = 0) -> Iterator[tuple[int, int]]:
+    """The strong absorbers (w, z) of (u, v) with w and z outside {u, v}
+    and the bitmask ``avoid``, one row per in-neighbour w of u, ascending:
+    w and its (possibly empty) bitmask N+(w) & N+(v) of z.  z needs no
+    check against w, since an oriented graph has no loops."""
+    ex = ~(1 << u | 1 << v | avoid)
+    from_v = out[v] & ex
+    for w in iter_bits(inn[u] & ex):
+        yield w, out[w] & from_v
+
+
 def enumerate_strong_absorbers(g: OrientedGraph, u: int, v: int,
                                cap: int | None = None) -> list[Pair]:
     """Ordered pairs (w, z) with arcs w->z, w->u, v->z, both outside
@@ -250,31 +262,23 @@ def enumerate_strong_absorbers(g: OrientedGraph, u: int, v: int,
     _check_cap(cap)
     g.check_vertex(u)
     g.check_vertex(v)
-    out = g._out
-    ex = ~(1 << u | 1 << v)
-    from_v = out[v] & ex
     found: list[Pair] = []
-    for w in iter_bits(g._in[u] & ex):
-        for z in iter_bits(out[w] & from_v):
-            found.append((w, z))
-            if cap is not None and len(found) >= cap:
-                return found
-    return found
+    for w, zs in _strong_rows(g._out, g._in, u, v):
+        found += zip(repeat(w), iter_bits(zs))
+        if cap is not None and len(found) >= cap:
+            break
+    return found[:cap]
 
 
 def _strong_count(out: Sequence[int], inn: Sequence[int], u: int, v: int,
                   stop: float) -> int:
-    """Strong absorbers of (u, v), counted one in-neighbour w of u at a
-    time until the total reaches ``stop``.  Each w adds N+(w) & N+(v)
-    minus {u, v}; w itself needs no exclusion, since an oriented graph has
-    no loops and so w is never in N+(w)."""
-    ex = ~(1 << u | 1 << v)
-    from_v = out[v] & ex
+    """Strong absorbers of (u, v), counted one row of ``_strong_rows`` at
+    a time until the total reaches ``stop``."""
     total = 0
-    for w in iter_bits(inn[u] & ex):
+    for _, zs in _strong_rows(out, inn, u, v):
         if total >= stop:
             break
-        total += (out[w] & from_v).bit_count()
+        total += zs.bit_count()
     return total
 
 
@@ -327,11 +331,10 @@ def _draw_strong_absorbers(g: OrientedGraph, v: int, avoid: int, k: int,
     list of such pairs, made here in full; the list is never built, and a
     rank becomes its pair only when the returned sequence is indexed.
     """
-    out = g._out
-    ex = ~(1 << v | avoid)
-    from_v = out[v] & ex
-    ws = list(iter_bits(g._in[v] & ex))
-    zsets = [out[w] & from_v for w in ws]
+    ws, zsets = [], []  # int lists, not (w, zs) tuples the collector tracks
+    for w, zs in _strong_rows(g._out, g._in, v, v, avoid):
+        ws.append(w)
+        zsets.append(zs)
     # starts[i] is the rank of ws[i]'s first pair; a w with no z shares the
     # next start, so bisecting a rank never lands on it
     starts = list(accumulate(map(int.bit_count, zsets), initial=0))
@@ -343,13 +346,13 @@ def _draw_strong_absorbers(g: OrientedGraph, v: int, avoid: int, k: int,
 
 
 def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
-                             alpha1: Fraction, cap: int | None = None,
-                             budget: int = WEAK_BUDGET) -> list[tuple[int, int, int, int]]:
+                             alpha1: Fraction, cap: int | None = None
+                             ) -> list[tuple[int, int, int, int]]:
     """Quadruples (w, w', z', z) with arcs w->w', w->u, z'->z, v->z whose
     inner pair (w', z') is alpha1-strongly absorbable.
 
     All four vertices are distinct and avoid {u, v}.  Enumeration is
-    ascending lexicographic; inner-pair verdicts are memoized; ``budget``
+    ascending lexicographic; inner-pair verdicts are memoized; WEAK_BUDGET
     bounds the probed prefixes (w, w', z'), every z' outside {u, v, w, w'}
     counting as one probe, so dense instances terminate early.
     """
@@ -365,7 +368,7 @@ def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
         reach |= inn[z]
     memo: dict[Pair, bool] = {}
     found: list[tuple[int, int, int, int]] = []
-    left = max(budget, 0)
+    left = WEAK_BUDGET
     for w in iter_bits(inn[u] & ex):
         for wp in iter_bits(out[w] & ex):
             spare = ~(1 << w | 1 << wp)
@@ -482,15 +485,14 @@ def default_reservoir_size(n: int) -> int:
 
 
 def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
-                    target_size: int | None = None,
                     prefer: frozenset[int] | None = None) -> Reservoir:
     """Choose a small vertex set R, staged over k = 1, 2, 3, so that
     ordered non-adjacent pairs outside R can be joined through it.
 
-    ``target_size`` is the vertex budget (default
-    ``default_reservoir_size(n)``).  When ``prefer`` is nonempty, R is
-    drawn only from it; the pipeline passes the vertices its absorbing
-    path can absorb, so reservoir vertices left unused stay absorbable.
+    ``default_reservoir_size(n)`` is the vertex budget.  When ``prefer``
+    is nonempty, R is drawn only from it; the pipeline passes the vertices
+    its absorbing path can absorb, so reservoir vertices left unused stay
+    absorbable.
 
     Stage k walks the non-arc pairs (u, v) outside ``avoid`` and earlier
     stages, ascending, that no earlier stage covers.  A pair's candidates
@@ -501,7 +503,7 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
     and stops once that room is full, within the first few pairs of a
     dense graph; a stage that leaves room for the next was walked in full.
     """
-    budget = target_size if target_size is not None else default_reservoir_size(g.n)
+    budget = default_reservoir_size(g.n)
     outside = g.full_mask() & ~mask_of(prefer) if prefer else 0
     avoid_mask = mask_of(avoid)
     chosen: set[int] = set()
@@ -614,10 +616,6 @@ class AbsorbingPath:
     def end(self) -> int:
         return self.path[-1]
 
-    def hosts(self, g: OrientedGraph, u: int, v: int) -> list[int]:
-        """Indices of the strong gadgets that serve (u, v)."""
-        return [i for i, gad in enumerate(self.strong) if gad.serves(g, u, v)]
-
     def servable(self, g: OrientedGraph) -> frozenset[int]:
         """The vertices off the path that some strong gadget serves: the
         union of N+(w) & N-(z) over the strong gadgets (w, z), minus the
@@ -641,6 +639,11 @@ class AbsorbingPath:
                 raise StitchFailureError(f"weak gadget {gad} endpoints misplaced")
             if iz - iw < 3:
                 raise StitchFailureError(f"weak gadget {gad} segment collapsed")
+
+
+def _hosts(g: OrientedGraph, gadgets: Sequence[_Splice], u: int, v: int) -> int:
+    """Bitmask of the indices of the gadgets that serve (u, v)."""
+    return mask_of(i for i, gad in enumerate(gadgets) if gad.serves(g, u, v))
 
 
 def default_strong_target(n: int) -> int:
@@ -694,52 +697,38 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
             gaps.append(v)
     f_weak = select_disjoint_family(weak_candidates, WEAK_TARGET)
 
-    taken = {w for tup in f_weak for w in tup}
     # a uniform draw, not a lexicographic prefix: the prefix piles onto
     # low-numbered w, which starves the disjointness sweep
     pool_rng = random.Random(derive_seed(seed, "strong-pool"))
-    avoid = mask_of(taken)
+    avoid = mask_of(w for tup in f_weak for w in tup)
     f_strong = select_disjoint_family(
         (_draw_strong_absorbers(g, v, avoid, ABSORB_PER_PAIR_CAP, pool_rng)
          for v in strong_ok),
         default_strong_target(n))
 
-    # Stitch weak units first, then strong, chaining with free connectors.
-    units: list[tuple[str, tuple[int, ...]]] = (
-        [("weak", tup) for tup in f_weak] + [("strong", tup) for tup in f_strong])
-    reserved = taken | {w for tup in f_strong for w in tup}
+    # Stitch weak units first, then strong, chaining with connectors through
+    # the free vertices: those off the path and in no unit left to lay out.
+    free = g.full_mask() & ~avoid & ~mask_of(w for tup in f_strong for w in tup)
     path: list[int] = []
-    strong_gadgets: list[StrongGadget] = []
-    weak_gadgets: list[WeakGadget] = []
+    laid: list[tuple[int, ...]] = []
     dropped = 0
+    for tup in (*f_weak, *f_strong):
+        # a weak unit lays out as w, w', <inner connector>, z', z
+        inner = _connector_within(g, tup[1], tup[2], free) if len(tup) == 4 else ()
+        pool = free & ~mask_of(inner or ())
+        hop = (None if inner is None
+               else _connector_within(g, path[-1], tup[0], pool) if path else ())
+        if hop is None:  # no inner connector, or no hop from the path
+            dropped += 1
+            free |= mask_of(tup)
+            continue
+        path += (*hop, *tup[:2], *inner, *tup[2:])
+        free = pool & ~mask_of(hop)
+        laid.append(tup)
 
-    for kind, tup in units:
-        free_pool = mask_of(set(range(n)) - reserved - set(path))
-        if kind == "weak":
-            w, wp, zp, z = tup
-            inner = _connector_within(g, wp, zp, free_pool)
-            if inner is None:
-                dropped += 1
-                reserved.difference_update(tup)
-                continue
-            segment = [w, wp, *inner, zp, z]
-        else:
-            segment = list(tup)
-        free_pool &= ~mask_of(segment)
-        if path:
-            hop = _connector_within(g, path[-1], segment[0], free_pool)
-            if hop is None:
-                dropped += 1
-                reserved.difference_update(tup)
-                continue
-            path.extend(hop)
-        path.extend(segment)
-        if kind == "weak":
-            weak_gadgets.append(WeakGadget(*tup))
-        else:
-            strong_gadgets.append(StrongGadget(*tup))
-
-    result = AbsorbingPath(tuple(path), tuple(strong_gadgets), tuple(weak_gadgets),
+    result = AbsorbingPath(tuple(path),
+                           tuple(StrongGadget(*tup) for tup in laid if len(tup) == 2),
+                           tuple(WeakGadget(*tup) for tup in laid if len(tup) == 4),
                            tuple(gaps), dropped)
     result.validate(g)
     return result
@@ -781,15 +770,13 @@ def absorb_vertices(g: OrientedGraph, p_abs: AbsorbingPath,
     # right nodes: strong gadget i is bit i and weak gadget i bit s + i, so
     # a leftover tries its strong hosts, then its weak ones, each ascending
     s = len(p_abs.strong)
-    strong = {v: (mask_of(p_abs.hosts(g, v, v)),) for v in todo}
-    edges = {v: (strong[v][0] | mask_of(i for i, gad in enumerate(p_abs.weak)
-                                        if gad.serves(g, v, v)) << s,)
-             for v in todo}
+    strong = {v: (_hosts(g, p_abs.strong, v, v),) for v in todo}
+    edges = {v: (strong[v][0] | _hosts(g, p_abs.weak, v, v) << s,) for v in todo}
     if unserved := [v for v in todo if not edges[v][0]]:
         raise VertexNotAbsorbableError(unserved[0])
     owner: dict = {}
     for i, gad in enumerate(p_abs.weak):
-        edges[("inner", i)] = (1 << (s + i), mask_of(p_abs.hosts(g, gad.wp, gad.zp)))
+        edges[("inner", i)] = (1 << (s + i), _hosts(g, p_abs.strong, gad.wp, gad.zp))
         owner[s + i] = ("inner", i)
     # inner pairs hold only weak gadgets here, so no strong-only path meets one
     for v in [v for v in todo if augment(v, strong, owner) is not None]:

@@ -212,24 +212,27 @@ def _profile_text(prof: ConnectivityProfile) -> str:
             + '\n  },\n  "schema": ' + _encode_str(SCHEMA) + "\n}\n")
 
 
-def _load_graph(path: str) -> OrientedGraph:
+def _read_text(path: str) -> str:
     try:
-        return parse_edge_list(Path(path).read_text())
+        return Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not a text file ({exc})")
+
+
+def _load_graph(path: str) -> OrientedGraph:
+    text = _read_text(path)
+    try:
+        return parse_edge_list(text)
     except (EdgeListParseError, GraphError) as exc:
         raise UsageError(f"{path}: {exc}")
 
 
 def _load_partition(path: str) -> Partition4:
+    text = _read_text(path)
     try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: not a text file ({exc})")
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON ({exc})")
     if isinstance(payload, dict) and "partition" in payload:
@@ -376,15 +379,23 @@ def _value(entry: dict, key: str, default=None, convert=int):
         raise ValueError(f"{key} = {value!r}: {exc}") from None
 
 
+def _decide(g: OrientedGraph) -> tuple[str, tuple | None]:
+    """The verdict of ``exact_dp`` up to DP_MAX_N vertices.  Above it,
+    "none_exists" with the ``hall_witness`` when there is one, else
+    "skipped", with None for the witness."""
+    if g.n <= DP_MAX_N:
+        return exact_dp(g).verdict, None
+    witness = hall_witness(g)
+    return ("none_exists" if witness else "skipped"), witness
+
+
 def _sweep_sharpness(entry: dict, seed: int) -> dict:
     n, a = _value(entry, "n"), _value(entry, "a")
     params = table_params(n, a, seed=seed)
     g, part = generate_extremal(params)
     pair = find_sharp_pair(g, params.bound)
     sizes_ok = tuple(len(part.classes()[lab]) for lab in "ABCD") == params.sizes
-    witness = hall_witness(g) if n > DP_MAX_N else None
-    verdict = (exact_dp(g).verdict if n <= DP_MAX_N
-               else "none_exists" if witness else "skipped")
+    verdict, witness = _decide(g)
     ok = sizes_ok and pair is not None and verdict in ("none_exists", "skipped")
     return {"n": n, "a": a, "bound": params.bound,
             "sharp_pair": list(pair) if pair else None,
@@ -397,15 +408,15 @@ def _sweep_robustness(entry: dict, seed: int) -> dict:
     ac_extra = _value(entry, "ac_extra", 0)
     d_extra = _value(entry, "d_extra", 0)
     rounds = _count(entry, "seeds", 20)
-    found = 0
+    verdicts = []
     for i in range(rounds):
         params = table_params(n, a, ac_extra=ac_extra, d_extra=d_extra,
                               seed=derive_seed(seed, "robustness", i))
-        g, _ = generate_extremal(params)
-        if exact_dp(g).verdict != "none_exists":
-            found += 1
+        verdicts.append(_decide(generate_extremal(params)[0])[0])
+    found = rounds - verdicts.count("none_exists") - verdicts.count("skipped")
     return {"n": n, "a": a, "ac_extra": ac_extra, "d_extra": d_extra,
-            "seeds": rounds, "hamiltonian_found": found, "ok": found == 0}
+            "seeds": rounds, "hamiltonian_found": found, "ok": found == 0,
+            **({"undecided": verdicts.count("skipped")} if n > DP_MAX_N else {})}
 
 
 def _sizes(entry: dict, n_min: int, n_max: int) -> range:

@@ -93,12 +93,9 @@ def check_semidegree_consequence(g: OrientedGraph) -> ConditionReport:
     min(deg+, deg-) over all vertices is at least n/8."""
     if g.n < 1:
         raise HypothesisViolatedError("semidegree check requires n >= 1")
-    worst = None
-    witness = None
-    for v in range(g.n):
-        for side, d in zip(("out", "in"), g.degrees(v)):
-            if worst is None or d < worst:
-                worst, witness = d, (v, side)
+    worst = g.min_semidegree()
+    witness = next((v, side) for v in range(g.n)
+                   for side, d in zip(("out", "in"), g.degrees(v)) if d == worst)
     margin = Fraction(worst) - Fraction(g.n, 8)
     return ConditionReport("semidegree", margin >= 0, margin, witness)
 

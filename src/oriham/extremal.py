@@ -297,10 +297,11 @@ def verify_partition(g: OrientedGraph, part: Partition4, eta: Fraction,
                              all(s >= 0 for s in slacks.values()))
 
 
-def find_extremal_partition(g: OrientedGraph, eta: Fraction,
-                            c_eta: Fraction = Fraction(1), seed: int = 0
+def find_extremal_partition(g: OrientedGraph, eta: Fraction, seed: int = 0
                             ) -> tuple[Partition4, ExtremalityReport] | None:
-    """Search for a labeling that the structure test accepts.
+    """Search for a labeling that the structure test accepts at resolution
+    ``eta`` with c_eta = 1 (the tolerances read only the product
+    c_eta * eta, so pass that product for another c_eta).
 
     Heuristic: candidate starts from degree-imbalance ordering (B-like
     vertices send more than they receive, D-like the reverse) plus seeded
@@ -319,9 +320,8 @@ def find_extremal_partition(g: OrientedGraph, eta: Fraction,
     n = g.n
     if n < 4:
         return None
-    eta, c_eta = Fraction(eta), Fraction(c_eta)
-    tol = c_eta * eta
-    p, q = tol.numerator, tol.denominator
+    eta = Fraction(eta)
+    p, q = eta.numerator, eta.denominator
 
     def score(sizes: list[int], e: list[int]) -> tuple[int, int]:
         slacks = _scaled_slacks(n, sizes, e, p, q)
@@ -384,7 +384,7 @@ def find_extremal_partition(g: OrientedGraph, eta: Fraction,
     for r in range(PARTITION_RESTARTS):
         rng = rng_for(seed, "partition-search", r)
         part = local_search(degree_start(rng))
-        report = verify_partition(g, part, eta, c_eta)
+        report = verify_partition(g, part, eta)
         if best is None or report.min_slack() > best[1].min_slack():
             best = (part, report)
         if best[1].verdict:

@@ -202,12 +202,12 @@ class CoverResult:
 
 
 def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
-                      max_paths: int, seed: int = 0) -> CoverResult:
+                      seed: int = 0) -> CoverResult:
     """Cover V(G) minus ``avoid`` by few vertex-disjoint directed paths.
 
     Paths grow by tail/head extension plus insertion between consecutive
-    path vertices.  Covers needing more than ``max_paths`` paths are
-    truncated to the longest ones and flagged.
+    path vertices.  Covers needing more than MAX_PATHS paths are
+    truncated to the longest MAX_PATHS and flagged.
 
     Every random pick (a path's start, a tail or head extension) is one
     ``rng.randrange(k)`` over its k candidates, indexing them in ascending
@@ -256,9 +256,9 @@ def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
             to_path |= inn[w]
         paths.append(path)
 
-    truncated = len(paths) > max_paths
+    truncated = len(paths) > MAX_PATHS
     if truncated:
-        keep = set(map(tuple, sorted(paths, key=len, reverse=True)[:max_paths]))
+        keep = set(map(tuple, sorted(paths, key=len, reverse=True)[:MAX_PATHS]))
         paths = [p for p in paths if tuple(p) in keep]
     covered = {v for p in paths for v in p}
     return CoverResult(tuple(DiPath(tuple(p)) for p in paths),
@@ -333,8 +333,7 @@ def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
     excluded = p_abs.vertex_set() | res.vertices
     last = None  # (cover and stitch records, absorb failure) of the last stitch
     for attempt in range(STITCH_ATTEMPTS):
-        cover = greedy_path_cover(g, excluded, MAX_PATHS,
-                                  derive_seed(seed, "cover", attempt))
+        cover = greedy_path_cover(g, excluded, derive_seed(seed, "cover", attempt))
         stitched = _attempt_stitch(g, p_abs, cover.paths, res,
                                    rng_for(seed, "stitch", attempt),
                                    drain=attempt % 2 == 1)

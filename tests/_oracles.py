@@ -28,18 +28,23 @@ step, over (kind, index) gadget nodes, that ``absorb_vertices`` must
 reproduce route for route; ``hall_violator_oracle`` tries every vertex set.
 """
 
+import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import permutations, product
 
-from oriham.absorption import (connectivity_profile, default_reservoir_size,
-                               enumerate_connectors)
+from oriham.absorption import (ABSORB_PER_PAIR_CAP, ALPHA1, ALPHA2, WEAK_TARGET,
+                               _connector_within, connectivity_profile,
+                               count_strong_absorbers, default_reservoir_size,
+                               default_strong_target, enumerate_connectors,
+                               enumerate_weak_absorbers, select_disjoint_family)
 from oriham.extremal import (SIZE_ROUNDING_ALLOWANCE, ExtremalityReport,
                              near_regular_tournament)
 from oriham.graph import (DiPath, OrientedGraph, Partition4, iter_bits, mask_of,
                           nth_bit)
 from oriham.hamilton import CoverResult
-from oriham.seeds import rng_for
+from oriham.seeds import derive_seed, rng_for
 
 
 def non_arc_pairs(g):
@@ -485,6 +490,68 @@ def absorb_reference(g, P, leftovers):
             tuple(gad for i, gad in enumerate(P.strong) if ("strong", i) not in owner),
             tuple(gad for i, gad in enumerate(P.weak)
                   if owner[("weak", i)] == ("inner", i)))
+
+
+def absorbing_path_reference(g, seed=0, drops=None):
+    """What ``build_absorbing_path`` returns, as (path, strong, weak, gaps,
+    dropped) with each gadget a tuple: the classification and the family
+    draws of the library's docstring, then the stitch loop that rebuilds
+    the free vertex set for every unit.  Each dropped unit appends "inner"
+    (a weak unit with no inner connector) or "hop" (no connector from the
+    path) to the list ``drops``."""
+    n = g.n
+    tw = max(1, math.ceil(ALPHA2 * n ** 4))
+    need = math.ceil(ALPHA1 * n * n)
+    strong_ok, weak_candidates, gaps = [], [], []
+    for v in range(n):
+        if count_strong_absorbers(g, v, v) >= need:
+            strong_ok.append(v)
+            continue
+        found = enumerate_weak_absorbers(g, v, v, ALPHA1,
+                                         cap=max(tw, ABSORB_PER_PAIR_CAP))
+        if len(found) >= tw:
+            weak_candidates.append(found[:ABSORB_PER_PAIR_CAP])
+        else:
+            gaps.append(v)
+    f_weak = select_disjoint_family(weak_candidates, WEAK_TARGET)
+    taken = {w for tup in f_weak for w in tup}
+    pool_rng = random.Random(derive_seed(seed, "strong-pool"))
+    f_strong = select_disjoint_family(
+        (strong_draw_reference(g, v, mask_of(taken), ABSORB_PER_PAIR_CAP, pool_rng)
+         for v in strong_ok),
+        default_strong_target(n))
+
+    units = [("weak", tup) for tup in f_weak] + [("strong", tup) for tup in f_strong]
+    reserved = taken | {w for tup in f_strong for w in tup}
+    path, strong, weak = [], [], []
+    dropped = 0
+    for kind, tup in units:
+        free_pool = mask_of(set(range(n)) - reserved - set(path))
+        if kind == "weak":
+            w, wp, zp, z = tup
+            inner = _connector_within(g, wp, zp, free_pool)
+            if inner is None:
+                dropped += 1
+                reserved.difference_update(tup)
+                if drops is not None:
+                    drops.append("inner")
+                continue
+            segment = [w, wp, *inner, zp, z]
+        else:
+            segment = list(tup)
+        free_pool &= ~mask_of(segment)
+        if path:
+            hop = _connector_within(g, path[-1], segment[0], free_pool)
+            if hop is None:
+                dropped += 1
+                reserved.difference_update(tup)
+                if drops is not None:
+                    drops.append("hop")
+                continue
+            path.extend(hop)
+        path.extend(segment)
+        (weak if kind == "weak" else strong).append(tuple(tup))
+    return tuple(path), tuple(strong), tuple(weak), tuple(gaps), dropped
 
 
 def hall_violator_oracle(g):

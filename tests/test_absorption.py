@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -312,10 +312,17 @@ def test_weak_absorbers_need_exit_arc():
     assert enumerate_weak_absorbers(g, 0, 1, Fraction(1, 100)) == []
 
 
+def _weak(g, u, v, alpha1, cap=None, budget=absorption.WEAK_BUDGET):
+    """``enumerate_weak_absorbers`` with WEAK_BUDGET set to ``budget``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(absorption, "WEAK_BUDGET", budget)
+        return enumerate_weak_absorbers(g, u, v, alpha1, cap)
+
+
 def test_weak_absorbers_cap_and_budget():
-    full = enumerate_weak_absorbers(WEAK6, 0, 1, Fraction(1, 100), budget=10**9)
+    full = _weak(WEAK6, 0, 1, Fraction(1, 100), budget=10**9)
     assert enumerate_weak_absorbers(WEAK6, 0, 1, Fraction(1, 100), cap=1) == full[:1]
-    small = enumerate_weak_absorbers(WEAK6, 0, 1, Fraction(1, 100), budget=1)
+    small = _weak(WEAK6, 0, 1, Fraction(1, 100), budget=1)
     assert set(small) <= set(full)
 
 
@@ -335,7 +342,7 @@ def test_weak_absorbers_match_oracle(seed):
     rng = rng_for(seed, "pair")
     u, v = rng.sample(range(7), 2)
     a1 = Fraction(1, 49)
-    assert (enumerate_weak_absorbers(g, u, v, a1, budget=10**9)
+    assert (_weak(g, u, v, a1, budget=10**9)
             == _oracles.weak_absorbers_oracle(g, u, v, a1))
 
 
@@ -352,8 +359,8 @@ def test_weak_absorbers_match_reference(n):
             for v in (u, rng.randrange(n)):
                 full = _oracles.weak_absorbers_reference(g, u, v, alpha1, None, 10**9)
                 for cap in (None, 12):
-                    for budget in (-1, 0, 37, 400, absorption.WEAK_BUDGET):
-                        got = enumerate_weak_absorbers(g, u, v, alpha1, cap, budget)
+                    for budget in (0, 37, 400, absorption.WEAK_BUDGET):
+                        got = _weak(g, u, v, alpha1, cap, budget)
                         assert got == _oracles.weak_absorbers_reference(
                             g, u, v, alpha1, cap, budget)
                         cut += cap is None and len(got) < len(full)
@@ -576,12 +583,21 @@ def _covered_graph():
                          + [(x, w1), (w1, y), (w1, w2), (w2, y), (x, w2)])
 
 
+def _reservoir(g, avoid, size=None, prefer=None):
+    """``build_reservoir`` with ``default_reservoir_size`` returning
+    ``size``, or left as it is when ``size`` is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if size is not None:
+            mp.setattr(absorption, "default_reservoir_size", lambda n: size)
+        return build_reservoir(g, avoid, prefer=prefer)
+
+
 def test_reservoir_stage_two_rules():
     # candidates are cut at 64 before the filters, and covered pairs are
     # not walked again; either mistake would add a 2-connector
-    res = build_reservoir(_cap_graph(), (), target_size=18)
+    res = _reservoir(_cap_graph(), (), 18)
     assert res.vertices == frozenset(range(16))
-    res = build_reservoir(_covered_graph(), (), target_size=11)
+    res = _reservoir(_covered_graph(), (), 11)
     assert res.vertices == frozenset(range(8))
 
 
@@ -614,7 +630,7 @@ def test_reservoir_matches_eager_oracle(monkeypatch, dense192):
         prefer = (frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
                   if variant & 2 else None)
         want = _oracles.reservoir_oracle(g, avoid, target, prefer, stats)
-        got = build_reservoir(g, avoid, target_size=target, prefer=prefer)
+        got = _reservoir(g, avoid, target, prefer)
         assert got.vertices == want, (g.n, variant, target)
     assert stats["stages"] == walked_k == {1, 2, 3}
     assert stats["cut_by_cap"] > 0
@@ -644,7 +660,7 @@ def test_reservoir_serves_sampled_pairs():
     # dense instance: a small reservoir bridges sampled non-adjacent pairs
     # even after one vertex has already been consumed
     g = random_min_semidegree(40, 15, 7)
-    res = build_reservoir(g, (), target_size=8)
+    res = _reservoir(g, (), 8)
     assert len(res.vertices) == 8
     outside = [v for v in range(40) if v not in res.vertices]
     rng = rng_for(7, "pairs")
@@ -810,12 +826,31 @@ def test_build_fills_strong_target_on_dense_graph(seed):
     assert len(P.strong) == default_strong_target(192)
 
 
+def test_absorbing_path_matches_reference(dense192):
+    # one running free-vertex mask lays out and drops the same units as
+    # the free set rebuilt for every unit; both kinds of drop occur here,
+    # and on random_oriented(32, 0.3, 1) a hop that ignored the inner
+    # connector just laid would reuse one of its vertices
+    drops = []
+    graphs = [random_oriented(n, p, s) for n in range(4, 17)
+              for p in (0.3, 0.5, 0.8) for s in range(4)]
+    graphs += [random_oriented(32, 0.3, 1), random_min_semidegree(60, 23, 11), dense192]
+    for g in graphs:
+        for seed in (0, 1):
+            P = build_absorbing_path(g, seed=seed)
+            got = (P.path, tuple(map(astuple, P.strong)), tuple(map(astuple, P.weak)),
+                   P.gaps, P.dropped)
+            assert got == _oracles.absorbing_path_reference(g, seed, drops), (g.n, seed)
+    assert {"inner", "hop"} <= set(drops)
+
+
 def test_servable_is_what_hosts_serve():
     for g in (random_min_semidegree(60, 23, 11), random_oriented(12, 0.5, 6),
               random_oriented(30, 0.3, 1), STRONG3):
         P = build_absorbing_path(g, seed=3)
         assert P.servable(g) == frozenset(
-            v for v in range(g.n) if v not in P.vertex_set() and P.hosts(g, v, v))
+            v for v in range(g.n)
+            if v not in P.vertex_set() and absorption._hosts(g, P.strong, v, v))
 
 
 def test_default_strong_target():
@@ -985,7 +1020,7 @@ def test_absorb_routes_match_recursive_reference():
         for _ in range(count):
             g, P, leftovers = _random_registry(rng, *sizes)
             todo = sorted(leftovers)
-            if not all(P.hosts(g, v, v) or any(gd.serves(g, v, v) for gd in P.weak)
+            if not all(absorption._hosts(g, P.strong + P.weak, v, v)
                        for v in todo):
                 continue
             expected = _oracles.absorb_reference(g, P, todo)

@@ -667,6 +667,21 @@ def test_sweep_robustness_counts_hamiltonian_instances(tmp_path, capsys):
     assert rc == (0 if found == 0 else 3)
 
 
+def test_sweep_robustness_above_dp_cap_uses_hall_sets(tmp_path, capsys, monkeypatch):
+    # above the cap each graph is decided by its Hall set, and a graph
+    # without one counts as undecided, not as Hamiltonian
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"kind": "robustness", "n": 64, "a": 0, "seeds": 2}]))
+    expected = {"index": 0, "kind": "robustness", "n": 64, "a": 0, "ac_extra": 0,
+                "d_extra": 0, "seeds": 2, "hamiltonian_found": 0, "ok": True,
+                "undecided": 0}
+    rc, out, _ = run(capsys, ["sweep", "--spec", str(spec)])
+    assert rc == 0 and json.loads(out)["rows"] == [expected]
+    monkeypatch.setattr(cli, "hall_witness", lambda g: None)
+    rc, out, _ = run(capsys, ["sweep", "--spec", str(spec)])
+    assert rc == 0 and json.loads(out)["rows"] == [{**expected, "undecided": 2}]
+
+
 def test_sweep_pipeline_counts_direct_solves(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps([{"kind": "pipeline", "count": 3, "n_min": 24,

@@ -400,9 +400,10 @@ def test_partition_search_matches_oracle(monkeypatch):
     monkeypatch.setattr(extremal, "verify_partition", counted)
     for g, eta, c_eta, seed in _search_cases():
         calls.clear()
-        found = find_extremal_partition(g, eta, c_eta, seed=seed)
+        # the search reads c_eta only through the product c_eta * eta
+        found = find_extremal_partition(g, eta * c_eta, seed=seed)
         restarts.append(len(calls))
-        expected = _oracles.partition_search_oracle(g, eta, c_eta, seed=seed)
+        expected = _oracles.partition_search_oracle(g, eta * c_eta, seed=seed)
         assert found is not None and expected is not None
         assert found[0] == expected[0], (g.n, eta, c_eta)
         assert found[1].to_json_dict() == expected[1].to_json_dict()

@@ -356,8 +356,15 @@ def test_hall_check_survives_optimize():
 # -- path cover ------------------------------------------------------------------
 
 
+def _cover(g, avoid, max_paths, seed=0):
+    """``greedy_path_cover`` with MAX_PATHS set to ``max_paths``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hamilton, "MAX_PATHS", max_paths)
+        return greedy_path_cover(g, avoid, seed)
+
+
 def test_cover_single_cycle():
-    cov = greedy_path_cover(cycle_graph(9), (), 5)
+    cov = _cover(cycle_graph(9), (), 5)
     assert len(cov.paths) == 1
     assert cov.paths[0].vertices == (8, 0, 1, 2, 3, 4, 5, 6, 7)
     assert cov.uncovered == frozenset()
@@ -365,7 +372,7 @@ def test_cover_single_cycle():
 
 
 def test_cover_no_arcs_truncates():
-    cov = greedy_path_cover(OrientedGraph(5), (), 3)
+    cov = _cover(OrientedGraph(5), (), 3)
     assert len(cov.paths) == 3
     assert all(len(p.vertices) == 1 for p in cov.paths)
     assert cov.truncated
@@ -374,7 +381,7 @@ def test_cover_no_arcs_truncates():
 
 
 def test_cover_respects_avoid():
-    cov = greedy_path_cover(cycle_graph(9), (4,), 5)
+    cov = _cover(cycle_graph(9), (4,), 5)
     assert len(cov.paths) == 1
     assert sorted(cov.paths[0].vertices) == [0, 1, 2, 3, 5, 6, 7, 8]
     assert cov.uncovered == frozenset()
@@ -382,15 +389,15 @@ def test_cover_respects_avoid():
 
 def test_cover_deterministic():
     g = random_oriented(20, 0.3, 5)
-    a = greedy_path_cover(g, (), 6, seed=9)
-    b = greedy_path_cover(g, (), 6, seed=9)
+    a = _cover(g, (), 6, seed=9)
+    b = _cover(g, (), 6, seed=9)
     assert [p.vertices for p in a.paths] == [p.vertices for p in b.paths]
 
 
 @given(st.integers(0, 25))
 def test_cover_paths_disjoint_and_valid(seed):
     g = random_oriented(14, 0.35, seed)
-    cov = greedy_path_cover(g, (0, 1), 6, seed=seed)
+    cov = _cover(g, (0, 1), 6, seed=seed)
     seen = set()
     for p in cov.paths:
         p.validate(g)
@@ -405,7 +412,7 @@ def test_cover_dense_benchmark():
     fails = 0
     for s in range(20):
         g = random_min_semidegree(60, 23, s)
-        cov = greedy_path_cover(g, (), 12, seed=s)
+        cov = greedy_path_cover(g, (), seed=s)
         if len(cov.uncovered) > 6 or len(cov.paths) > 12:  # below 90% covered
             fails += 1
     assert fails == 0
@@ -426,7 +433,7 @@ def test_path_cover_matches_oracle():
         for avoid in ((), frozenset(range(1, g.n, 3))):
             for max_paths in (1, 3, 12):
                 want = _oracles.path_cover_oracle(g, avoid, max_paths, seed=case)
-                got = greedy_path_cover(g, avoid, max_paths, seed=case)
+                got = _cover(g, avoid, max_paths, seed=case)
                 assert got == want, (case, avoid, max_paths)
                 truncated += want.truncated
     assert truncated > 0
@@ -443,7 +450,7 @@ def test_cover_makes_no_arc_queries(monkeypatch):
         return real(self, u, v)
 
     monkeypatch.setattr(OrientedGraph, "has_arc", counting)
-    cov = greedy_path_cover(g, (), hamilton.MAX_PATHS, seed=1)
+    cov = greedy_path_cover(g, (), seed=1)
     assert sum(len(p.vertices) for p in cov.paths) + len(cov.uncovered) == 192
     assert calls == []
 
@@ -557,22 +564,6 @@ def test_pipeline_lets_a_gadget_layout_bug_escape(monkeypatch):
         find_hamilton_absorption(random_min_semidegree(24, 9, 1), seed=0)
 
 
-def test_pipeline_searches_no_connector_on_empty_graph(monkeypatch):
-    # a pair with no out-neighbour of u or no in-neighbour of v to route
-    # through has no connector, so the reservoir never searches one
-    calls = []
-    real = absorption._reservoir_options
-
-    def counting(*args, **kwargs):
-        calls.append(args[1:4])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(absorption, "_reservoir_options", counting)
-    res = find_hamilton_absorption(OrientedGraph(64))
-    assert res.verdict == "not_found"
-    assert calls == []
-
-
 def test_pipeline_fails_fast_on_empty_graph_at_max_order():
     # vertex 0 alone has no out-neighbour, so there is no cycle factor
     start = time.perf_counter()
@@ -597,7 +588,7 @@ def test_reservoir_and_cover_fast_on_empty_graph_at_max_order(monkeypatch):
     g = OrientedGraph(MAX_VERTICES)
     start = time.perf_counter()
     res = absorption.build_reservoir(g, ())
-    cover = greedy_path_cover(g, (), hamilton.MAX_PATHS)
+    cover = greedy_path_cover(g, ())
     assert time.perf_counter() - start < 5.0
     assert res.vertices == frozenset() and calls == []
     assert cover.truncated and len(cover.uncovered) == MAX_VERTICES - hamilton.MAX_PATHS
