@@ -105,12 +105,10 @@ def _dumps(obj) -> str:
     documents the CLI emits: dicts with str keys, lists and tuples, and
     str, int, bool or None leaves.  Any other key or leaf raises TypeError.
 
-    CPython's C encoder ignores ``indent``: with it set, ``json.dumps`` runs
-    the pure-Python encoder, several times slower on a report as large as
-    ``absorbers``'.  Here each container is joined once, and a list of
-    equal-length int lists (``absorbers``' members) is written from one
-    format template.
-    """
+    With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder.
+    Here each container is joined once, and a run of equal-width int rows
+    (``absorbers``' members) is one format call over its joined row
+    template."""
     return _encode(obj, "\n")
 
 
@@ -120,10 +118,8 @@ def _encode(o, nl: str) -> str:
         return _encode_str(o)
     if o is None:
         return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
+    if isinstance(o, bool):
+        return "true" if o else "false"
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, (list, tuple)):
@@ -131,27 +127,24 @@ def _encode(o, nl: str) -> str:
             return "[]"
         inner = nl + "  "
         template = _row_template(o, inner)
-        if template is None:
-            bodies = [_encode(x, inner) for x in o]
-        else:
-            bodies = map(template.__mod__, map(tuple, o))
-        return "[" + inner + ("," + inner).join(bodies) + nl + "]"
+        if template is not None:
+            return (("[" + inner + ("," + inner).join([template] * len(o)) + nl + "]")
+                    % tuple(chain.from_iterable(o)))
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in o]) + nl + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
         if not all(map(isinstance, o, repeat(str))):
             raise TypeError(f"keys must be str, got {sorted(map(repr, o))}")
-        keys = sorted(o)
         inner = nl + "  "
-        heads = map(str.__add__, map(_encode_str, keys), repeat(": "))
-        bodies = [_encode(o[key], inner) for key in keys]
-        return "{" + inner + ("," + inner).join(map(str.__add__, heads, bodies)) + nl + "}"
+        items = [_encode_str(key) + ": " + _encode(o[key], inner) for key in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     raise TypeError(f"cannot encode {type(o).__name__} {o!r}")
 
 
 def _row_template(rows, nl: str) -> str | None:
-    """One %-template that encodes every row, when all are non-empty lists
-    or tuples of plain ints of one length; else None."""
+    """The %-template of one row, when all rows are non-empty lists or
+    tuples of plain ints of one length; else None."""
     width = len(rows[0]) if type(rows[0]) in (list, tuple) else 0
     if (not width or not set(map(type, rows)) <= {list, tuple}
             or set(map(len, rows)) != {width}
@@ -187,29 +180,31 @@ def _profile_text(prof: ConnectivityProfile) -> str:
     without building that map.  Its keys sort as strings, and ',' sorts
     below every digit, so both axes run over the vertex ids in str order.
 
-    Each pair's text is four pieces, three of them looked up in tables: the
-    head by u, the middle by v and the tail by k; only the count, which is
-    not bounded by n, is formatted.  One join writes all of them."""
+    A pair's text is four table lookups: the head by u, the middle by v,
+    the tail by k, and the count in the table of str(0..n), which holds
+    every k = 1 count (at most n - 2); the few k >= 2 counts above n are
+    formatted one by one.  The text is one join over head, pairs and tail."""
     n = len(prof.k)
     order = np.array(sorted(range(n), key=str), dtype=np.intp)
     u, v = np.nonzero(prof.k[np.ix_(order, order)])
     u, v = order[u], order[v]
-    heads = np.array([',\n      "%d,' % i for i in range(n)], object)
-    mids = np.array(['%d": {\n        "count": ' % i for i in range(n)], object)
-    pieces = np.empty((u.size, 4), object)
-    pieces[:, 0] = heads[u]
-    pieces[:, 1] = mids[v]
-    pieces[:, 2] = list(map(str, prof.count[u, v].tolist()))
+    count = prof.count[u, v]
+    big = count > n
+    text = np.empty(4 * u.size + 2, object)
+    pieces = text[1:-1].reshape(-1, 4)
+    pieces[:, 0] = np.array([',\n      "%d,' % i for i in range(n)], object)[u]
+    pieces[:, 1] = np.array(['%d": {\n        "count": ' % i for i in range(n)], object)[v]
+    pieces[:, 2] = np.array(list(map(str, range(n + 1))), object)[np.where(big, 0, count)]
+    pieces[big, 2] = list(map(str, count[big].tolist()))
     pieces[:, 3] = _PAIR_TAIL[prof.k[u, v]]
     if u.size:
         pieces[0, 0] = pieces[0, 0][1:]  # no comma before the first pair
-    pairs = "".join(pieces.ravel().tolist())
     dead = ",".join(map(_DEAD.__mod__, prof.unconnectable))
-    return ('{\n  "profile": {\n    "pairs": '
-            + ("{" + pairs + "\n    }" if pairs else "{}")
-            + ',\n    "unconnectable": '
-            + ("[" + dead + "\n    ]" if dead else "[]")
-            + '\n  },\n  "schema": ' + _encode_str(SCHEMA) + "\n}\n")
+    text[0] = '{\n  "profile": {\n    "pairs": {'
+    text[-1] = ('%s,\n    "unconnectable": %s\n  },\n  "schema": %s\n}\n'
+                % ("\n    }" if u.size else "}", "[%s\n    ]" % dead if dead else "[]",
+                   _encode_str(SCHEMA)))
+    return "".join(text.tolist())
 
 
 def _read_text(path: str) -> str:
@@ -299,6 +294,9 @@ def cmd_check(args) -> int:
                 g.check_vertex(v)
             report = check_sparse_set_bound(g, set(args.set), args.sigma)
         else:
+            for flag, value in (("--set", args.set), ("--sigma", args.sigma)):
+                if value is not None:
+                    raise UsageError(f"{flag} applies only to --condition sparse-set")
             report = _CHECKS[args.condition](g)
     except (HypothesisViolatedError, OutOfRangeError) as exc:
         raise UsageError(str(exc))
@@ -327,6 +325,8 @@ def cmd_absorbers(args) -> int:
             if args.k is None:
                 raise UsageError("--kind connector requires --k")
             members = enumerate_connectors(g, u, v, args.k, cap=args.cap)
+        elif args.k is not None:
+            raise UsageError(f"--k applies only to --kind connector, not {args.kind}")
         elif args.kind == "strong":
             members = enumerate_strong_absorbers(g, u, v, cap=args.cap)
         else:
@@ -338,7 +338,7 @@ def cmd_absorbers(args) -> int:
         "kind": args.kind,
         "pair": [u, v],
         "count": len(members),
-        "members": [list(m) for m in members],
+        "members": members,
     }, args.out)
     return EXIT_OK
 

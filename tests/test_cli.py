@@ -3,13 +3,14 @@ import json
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oriham import (OrientedGraph, emit_edge_list, exact_dp, find_hamilton_absorption,
-                    feasible_a_values, generate_extremal, parse_edge_list,
-                    random_min_semidegree, random_oriented, table_params)
+from oriham import (ConnectivityProfile, OrientedGraph, emit_edge_list, exact_dp,
+                    find_hamilton_absorption, feasible_a_values, generate_extremal,
+                    parse_edge_list, random_min_semidegree, random_oriented, table_params)
 from oriham import cli, graph
 from oriham.cli import main
 from oriham.seeds import derive_seed
@@ -365,6 +366,24 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     assert info.misses == 1 and info.hits == 3
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--condition", "ore", "--set", "1"], "--set"),
+    (["check", "--condition", "gh", "--sigma", "1/2"], "--sigma"),
+    (["check", "--condition", "woodall", "--set", "1", "--sigma", "1/2"], "--set"),
+    (["absorbers", "--pair", "0,2", "--k", "1"], "--k"),
+    (["absorbers", "--pair", "0,2", "--kind", "strong", "--k", "2"], "--k"),
+    (["absorbers", "--pair", "0,2", "--kind", "weak", "--k", "3"], "--k"),
+])
+def test_flag_of_another_mode_is_usage_error(tmp_path, capsys, argv, flag):
+    """A flag the chosen condition or kind does not read is refused, not
+    ignored."""
+    path = write_graph(tmp_path, cycle_graph(5))
+    rc, out, err = run(capsys, [argv[0], "--input", path, *argv[1:]])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} applies only to ")
+
+
 @pytest.mark.parametrize("kind", [["connector", "--k", "1"], ["strong"], ["weak"]])
 def test_absorbers_cap_below_one_is_usage_error(tmp_path, capsys, kind):
     path = write_graph(tmp_path, OrientedGraph(5, [(0, 1), (1, 4), (0, 2), (2, 4)]))
@@ -429,6 +448,38 @@ def test_profile_text_matches_json(tmp_path, capsys, name):
     rc, out, _ = run(capsys, ["profile", "--input", path])
     assert rc == 0
     assert out == profile_reference(g)
+
+
+def hand_profile(n, dead):
+    """A profile whose pairs, in row order, run through k = 1, 2, 3 and the
+    counts 0, n - 1, n, n + 1 and 2**62 in turn, so one row mixes every k;
+    each seventh pair has k = 0 and, when ``dead``, is unconnectable."""
+    k = np.zeros((n, n), np.uint8)
+    count = np.zeros((n, n), np.int64)
+    dead_pairs = []
+    for i, (u, v) in enumerate((u, v) for u in range(n) for v in range(n) if u != v):
+        if i % 7 != 6:
+            k[u, v] = 1 + i % 3
+            count[u, v] = (0, n - 1, n, n + 1, 2 ** 62)[i % 5]
+        elif dead:
+            dead_pairs.append((u, v))
+    return ConnectivityProfile(k, count, tuple(dead_pairs))
+
+
+@pytest.mark.parametrize("dead", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 11, 23])
+def test_profile_text_on_hand_built_profiles(n, dead):
+    """The count table holds str(0..n); counts at and past its edge, and
+    k = 1, 2, 3 within one row, are written as json.dumps writes them."""
+    prof = hand_profile(n, dead)
+    if n > 2:
+        assert {c for _, c in prof.best.values()} == {0, n - 1, n, n + 1, 2 ** 62}
+        assert {k for (u, _), (k, _) in prof.best.items() if u == 0} == {1, 2, 3}
+        assert bool(prof.unconnectable) == dead
+    pairs = {f"{u},{v}": {"count": c, "k": k} for (u, v), (k, c) in prof.best.items()}
+    doc = {"schema": "oriham/1",
+           "profile": {"pairs": pairs, "unconnectable": [list(p) for p in prof.unconnectable]}}
+    assert cli._profile_text(prof) == reference_dumps(doc) + "\n"
 
 
 def test_profile_graphs_cover_every_shape():
