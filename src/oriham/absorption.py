@@ -37,7 +37,7 @@ import numpy as np
 
 from .graph import (DiPath, InvalidPathError, OrientedGraph, augment, iter_bits,
                     mask_of, nth_bit)
-from .seeds import derive_seed
+from .seeds import rng_for
 
 Pair = tuple[int, int]
 
@@ -117,9 +117,12 @@ def _first_connector(g: OrientedGraph, x: int, y: int, k: int,
     return None
 
 
-def _check_cap(cap: int | None) -> None:
+def _capped(found: Iterable, cap: int | None) -> list:
+    """The first ``cap`` items of the lazy ``found`` (all for None); a cap
+    below 1 raises ValueError."""
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
+    return list(islice(found, cap))
 
 
 def enumerate_connectors(g: OrientedGraph, u: int, v: int, k: int,
@@ -132,15 +135,10 @@ def enumerate_connectors(g: OrientedGraph, u: int, v: int, k: int,
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2 or 3, got {k}")
-    _check_cap(cap)
     g.check_vertex(u)
     g.check_vertex(v)
-    found: list[tuple[int, ...]] = []
-    for prefix, last in _connector_blocks(g, u, v, k, g.full_mask() & ~mask_of((u, v))):
-        found += _block_tuples(prefix, last)
-        if cap is not None and len(found) >= cap:
-            break
-    return found[:cap]
+    blocks = _connector_blocks(g, u, v, k, g.full_mask() & ~mask_of((u, v)))
+    return _capped((t for block in blocks for t in _block_tuples(*block)), cap)
 
 
 def _connector_within(g: OrientedGraph, x: int, y: int,
@@ -259,15 +257,10 @@ def enumerate_strong_absorbers(g: OrientedGraph, u: int, v: int,
                                cap: int | None = None) -> list[Pair]:
     """Ordered pairs (w, z) with arcs w->z, w->u, v->z, both outside
     {u, v}, ascending lexicographic.  u = v is the single-vertex case."""
-    _check_cap(cap)
     g.check_vertex(u)
     g.check_vertex(v)
-    found: list[Pair] = []
-    for w, zs in _strong_rows(g._out, g._in, u, v):
-        found += zip(repeat(w), iter_bits(zs))
-        if cap is not None and len(found) >= cap:
-            break
-    return found[:cap]
+    return _capped((pair for w, zs in _strong_rows(g._out, g._in, u, v)
+                    for pair in zip(repeat(w), iter_bits(zs))), cap)
 
 
 def _strong_count(out: Sequence[int], inn: Sequence[int], u: int, v: int,
@@ -356,9 +349,15 @@ def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
     bounds the probed prefixes (w, w', z'), every z' outside {u, v, w, w'}
     counting as one probe, so dense instances terminate early.
     """
-    _check_cap(cap)
     g.check_vertex(u)
     g.check_vertex(v)
+    return _capped(_weak_absorbers(g, u, v, alpha1), cap)
+
+
+def _weak_absorbers(g: OrientedGraph, u: int, v: int,
+                    alpha1: Fraction) -> Iterator[tuple[int, int, int, int]]:
+    """The weak absorbers of ``enumerate_weak_absorbers``, lazily, up to
+    the WEAK_BUDGET-th probe."""
     out, inn = g._out, g._in
     need = _strong_need(g.n, alpha1)
     ex = g.full_mask() & ~(1 << u | 1 << v)
@@ -367,7 +366,6 @@ def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
     for z in iter_bits(from_v):
         reach |= inn[z]
     memo: dict[Pair, bool] = {}
-    found: list[tuple[int, int, int, int]] = []
     left = WEAK_BUDGET
     for w in iter_bits(inn[u] & ex):
         for wp in iter_bits(out[w] & ex):
@@ -385,13 +383,9 @@ def enumerate_weak_absorbers(g: OrientedGraph, u: int, v: int,
                 if ok is None:
                     ok = memo[wp, zp] = _strong_count(out, inn, wp, zp, need) >= need
                 if ok:
-                    for z in iter_bits(zs):
-                        found.append((w, wp, zp, z))
-                        if cap is not None and len(found) >= cap:
-                            return found
+                    yield from zip(repeat(w), repeat(wp), repeat(zp), iter_bits(zs))
             if left < 0:
-                return found
-    return found
+                return
 
 
 # -- disjoint family selection ---------------------------------------------------
@@ -662,8 +656,8 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
     candidates are the first ABSORB_PER_PAIR_CAP of them, read off the same
     enumeration.
 
-    Draw contract for the strong candidates: one ``random.Random`` seeded
-    with ``derive_seed(seed, "strong-pool")`` serves the strongly
+    Draw contract for the strong candidates: one ``random.Random``,
+    ``rng_for(seed, "strong-pool")``, serves the strongly
     absorbable vertices in ascending order.  Each vertex draws
     ABSORB_PER_PAIR_CAP of its strong absorbers that avoid the weak
     family, uniformly without replacement, as ``rng.sample`` over their
@@ -699,7 +693,7 @@ def build_absorbing_path(g: OrientedGraph, *, seed: int = 0) -> AbsorbingPath:
 
     # a uniform draw, not a lexicographic prefix: the prefix piles onto
     # low-numbered w, which starves the disjointness sweep
-    pool_rng = random.Random(derive_seed(seed, "strong-pool"))
+    pool_rng = rng_for(seed, "strong-pool")
     avoid = mask_of(w for tup in f_weak for w in tup)
     f_strong = select_disjoint_family(
         (_draw_strong_absorbers(g, v, avoid, ABSORB_PER_PAIR_CAP, pool_rng)

@@ -251,13 +251,16 @@ def _partition_json(part: Partition4) -> dict:
 # -- subcommands --------------------------------------------------------------
 
 
+def _only(args, flag: str, option: str, mode: str) -> None:
+    """Refuse ``--flag`` unless ``--option`` is ``mode``, the mode that reads it."""
+    if getattr(args, flag) is not None and getattr(args, option) != mode:
+        raise UsageError(f"--{flag} applies only to --{option} {mode}")
+
+
 def cmd_generate(args) -> int:
-    try:
-        params = table_params(args.n, args.a, ac_extra=args.ac_edges,
-                              d_extra=args.d_edges, seed=args.seed)
-        g, part = generate_extremal(params)  # refuses n > MAX_VERTICES first
-    except (InfeasibleParamsError, OutOfRangeError) as exc:
-        raise UsageError(str(exc))
+    params = table_params(args.n, args.a, ac_extra=args.ac_edges,
+                          d_extra=args.d_edges, seed=args.seed)
+    g, part = generate_extremal(params)  # refuses n > MAX_VERTICES first
     text = emit_edge_list(g)
     sidecar = {
         "schema": SCHEMA,
@@ -285,21 +288,17 @@ _CHECKS = {
 
 
 def cmd_check(args) -> int:
+    _only(args, "set", "condition", "sparse-set")
+    _only(args, "sigma", "condition", "sparse-set")
     g = _load_graph(args.input)
-    try:
-        if args.condition == "sparse-set":
-            if args.set is None or args.sigma is None:
-                raise UsageError("sparse-set requires --set and --sigma")
-            for v in args.set:
-                g.check_vertex(v)
-            report = check_sparse_set_bound(g, set(args.set), args.sigma)
-        else:
-            for flag, value in (("--set", args.set), ("--sigma", args.sigma)):
-                if value is not None:
-                    raise UsageError(f"{flag} applies only to --condition sparse-set")
-            report = _CHECKS[args.condition](g)
-    except (HypothesisViolatedError, OutOfRangeError) as exc:
-        raise UsageError(str(exc))
+    if args.condition == "sparse-set":
+        if args.set is None or args.sigma is None:
+            raise UsageError("sparse-set requires --set and --sigma")
+        for v in args.set:
+            g.check_vertex(v)
+        report = check_sparse_set_bound(g, set(args.set), args.sigma)
+    else:
+        report = _CHECKS[args.condition](g)
     _emit({"schema": SCHEMA, "report": report.to_json_dict()}, args.out)
     return EXIT_OK if report.satisfied else EXIT_NEGATIVE
 
@@ -307,32 +306,25 @@ def cmd_check(args) -> int:
 def cmd_score_partition(args) -> int:
     g = _load_graph(args.input)
     part = _load_partition(args.partition)
-    try:
-        report = verify_partition(g, part, args.eta, args.ceta)
-    except PartitionNotCoveringError as exc:
-        raise UsageError(str(exc))
+    report = verify_partition(g, part, args.eta, args.ceta)
     _emit({"schema": SCHEMA, "report": report.to_json_dict()}, args.out)
     return EXIT_OK if report.verdict else EXIT_NEGATIVE
 
 
 def cmd_absorbers(args) -> int:
+    _only(args, "k", "kind", "connector")
+    _only(args, "alpha1", "kind", "weak")
+    if args.kind == "connector" and args.k is None:
+        raise UsageError("--kind connector requires --k")
     g = _load_graph(args.input)
     u, v = args.pair
-    try:
-        g.check_vertex(u)
-        g.check_vertex(v)
-        if args.kind == "connector":
-            if args.k is None:
-                raise UsageError("--kind connector requires --k")
-            members = enumerate_connectors(g, u, v, args.k, cap=args.cap)
-        elif args.k is not None:
-            raise UsageError(f"--k applies only to --kind connector, not {args.kind}")
-        elif args.kind == "strong":
-            members = enumerate_strong_absorbers(g, u, v, cap=args.cap)
-        else:
-            members = enumerate_weak_absorbers(g, u, v, args.alpha1, cap=args.cap)
-    except (GraphError, ValueError) as exc:
-        raise UsageError(str(exc))
+    if args.kind == "connector":
+        members = enumerate_connectors(g, u, v, args.k, cap=args.cap)
+    elif args.kind == "strong":
+        members = enumerate_strong_absorbers(g, u, v, cap=args.cap)
+    else:
+        alpha1 = ALPHA1 if args.alpha1 is None else args.alpha1
+        members = enumerate_weak_absorbers(g, u, v, alpha1, cap=args.cap)
     _emit({
         "schema": SCHEMA,
         "kind": args.kind,
@@ -350,16 +342,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _only(args, "seed", "method", "absorb")
     g = _load_graph(args.input)
-    try:
-        if args.method == "brute":
-            result = exact_brute(g)
-        elif args.method == "dp":
-            result = exact_dp(g)
-        else:
-            result = find_hamilton_absorption(g, seed=args.seed)
-    except TooLargeError as exc:
-        raise UsageError(str(exc))
+    if args.method == "brute":
+        result = exact_brute(g)
+    elif args.method == "dp":
+        result = exact_dp(g)
+    else:
+        result = find_hamilton_absorption(g, seed=0 if args.seed is None else args.seed)
     _emit({"schema": SCHEMA, "method": args.method,
            "result": result.to_json_dict()}, args.out)
     return EXIT_OK if result.found else EXIT_NEGATIVE
@@ -368,11 +358,11 @@ def cmd_solve(args) -> int:
 # -- sweep --------------------------------------------------------------------
 
 
-def _value(entry: dict, key: str, default=None, convert=int):
-    """``convert`` of the entry's ``key``, or of ``default`` if the key is
-    optional and absent (None if required); a failed conversion is a
-    ValueError naming the key."""
-    value = entry.get(key, default)
+def _value(entry: dict, key: str, convert=int):
+    """``convert`` of the entry's ``key``, which ``cmd_sweep`` fills when
+    absent with the kind's default in ``_SWEEPS``, None marking a required
+    key; a failed conversion is a ValueError naming the key."""
+    value = entry[key]
     try:
         return convert(value)
     except (TypeError, ValueError, ArithmeticError) as exc:
@@ -405,9 +395,9 @@ def _sweep_sharpness(entry: dict, seed: int) -> dict:
 
 def _sweep_robustness(entry: dict, seed: int) -> dict:
     n, a = _value(entry, "n"), _value(entry, "a")
-    ac_extra = _value(entry, "ac_extra", 0)
-    d_extra = _value(entry, "d_extra", 0)
-    rounds = _count(entry, "seeds", 20)
+    ac_extra = _value(entry, "ac_extra")
+    d_extra = _value(entry, "d_extra")
+    rounds = _count(entry, "seeds")
     verdicts = []
     for i in range(rounds):
         params = table_params(n, a, ac_extra=ac_extra, d_extra=d_extra,
@@ -419,29 +409,36 @@ def _sweep_robustness(entry: dict, seed: int) -> dict:
             **({"undecided": verdicts.count("skipped")} if n > DP_MAX_N else {})}
 
 
-def _sizes(entry: dict, n_min: int, n_max: int) -> range:
-    """The entry's vertex counts n_min..n_max (defaults as given); instance
-    seed ``inst`` draws ``sizes[inst % len(sizes)]``."""
-    n_min = _value(entry, "n_min", n_min)
-    n_max = _value(entry, "n_max", n_max)
+def _sizes(entry: dict) -> range:
+    """The entry's vertex counts n_min..n_max; instance seed ``inst`` draws
+    ``sizes[inst % len(sizes)]``."""
+    n_min, n_max = _value(entry, "n_min"), _value(entry, "n_max")
     if not 0 <= n_min <= n_max:
         raise ValueError(f"size range n_min = {n_min}, n_max = {n_max} "
                          "is empty or negative")
     return range(n_min, n_max + 1)
 
 
-def _count(entry: dict, key: str, default: int) -> int:
-    """The entry's ``key`` (default as given), which must not be negative."""
-    value = _value(entry, key, default)
+def _count(entry: dict, key: str) -> int:
+    """The entry's ``key``, which must not be negative."""
+    value = _value(entry, key)
     if value < 0:
         raise ValueError(f"{key} = {value} is negative")
     return value
 
 
+def _probability(x) -> Fraction:
+    """A rational in [0, 1], written as a number or a string such as "1/2"."""
+    p = Fraction(str(x))
+    if not 0 <= p <= 1:
+        raise ValueError("not in [0, 1]")
+    return p
+
+
 def _sweep_oracle(entry: dict, seed: int) -> dict:
-    count = _count(entry, "count", 50)
-    sizes = _sizes(entry, 5, 9)
-    prob = _value(entry, "arc_prob", "1/2", lambda x: float(Fraction(str(x))))
+    count = _count(entry, "count")
+    sizes = _sizes(entry)
+    prob = float(_value(entry, "arc_prob", _probability))
     disagreements = 0
     for i in range(count):
         inst = derive_seed(seed, "oracle", i)
@@ -454,9 +451,9 @@ def _sweep_oracle(entry: dict, seed: int) -> dict:
 
 
 def _sweep_pipeline(entry: dict, seed: int) -> dict:
-    count = _count(entry, "count", 20)
-    sizes = _sizes(entry, 24, 64)
-    min_rate = _value(entry, "min_rate", "9/10", lambda x: Fraction(str(x)))
+    count = _count(entry, "count")
+    sizes = _sizes(entry)
+    min_rate = _value(entry, "min_rate", _probability)
     successes = 0
     for i in range(count):
         inst = derive_seed(seed, "pipeline", i)
@@ -471,10 +468,13 @@ def _sweep_pipeline(entry: dict, seed: int) -> dict:
 
 
 _SWEEPS = {
-    "sharpness": _sweep_sharpness,
-    "robustness": _sweep_robustness,
-    "oracle": _sweep_oracle,
-    "pipeline": _sweep_pipeline,
+    "sharpness": (_sweep_sharpness, {"n": None, "a": None}),
+    "robustness": (_sweep_robustness, {"n": None, "a": None, "ac_extra": 0,
+                                       "d_extra": 0, "seeds": 20}),
+    "oracle": (_sweep_oracle, {"count": 50, "n_min": 5, "n_max": 9,
+                               "arc_prob": "1/2"}),
+    "pipeline": (_sweep_pipeline, {"count": 20, "n_min": 24, "n_max": 64,
+                                   "min_rate": "9/10"}),
 }
 
 
@@ -497,8 +497,11 @@ def cmd_sweep(args) -> int:
         kind = entry.get("kind") if isinstance(entry, dict) else None
         if kind not in _SWEEPS:
             raise UsageError(f"entry {idx}: unknown kind {kind!r}")
+        fn, keys = _SWEEPS[kind]
         try:
-            result = _SWEEPS[kind](entry, derive_seed(args.seed, "sweep", idx))
+            if unread := sorted(entry.keys() - keys.keys() - {"kind"}):
+                raise ValueError(f"{kind} reads no key {', '.join(unread)}")
+            result = fn({**keys, **entry}, derive_seed(args.seed, "sweep", idx))
         except (GraphError, InfeasibleParamsError, TooLargeError,
                 ValueError) as exc:
             result = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -540,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="edge-list path; JSON sidecar lands at <out>.json")
     p.add_argument("--timestamp", help="manifest timestamp override")
-    p.set_defaults(fn=cmd_generate)
+    p.set_defaults(fn=cmd_generate,
+                   input_errors=(InfeasibleParamsError, OutOfRangeError))
 
     p = sub.add_parser("check", help="run a degree-condition checker")
     p.add_argument("--condition", required=True,
@@ -549,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=_fraction)
     p.add_argument("--set", type=_id_set, metavar="IDS")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=cmd_check,
+                   input_errors=(HypothesisViolatedError, OutOfRangeError))
 
     p = sub.add_parser("score-partition",
                        help="score a labeled 4-partition against the "
@@ -559,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_fraction, required=True)
     p.add_argument("--ceta", type=_fraction, default=Fraction(1))
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_score_partition)
+    p.set_defaults(fn=cmd_score_partition, input_errors=(PartitionNotCoveringError,))
 
     p = sub.add_parser("absorbers", help="enumerate gadgets for one pair")
     p.add_argument("--input", required=True)
@@ -568,38 +573,39 @@ def build_parser() -> argparse.ArgumentParser:
                    default="strong")
     p.add_argument("--k", type=int, choices=[1, 2, 3])
     p.add_argument("--cap", type=int)
-    p.add_argument("--alpha1", type=_fraction, default=ALPHA1)
+    p.add_argument("--alpha1", type=_fraction)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_absorbers)
+    p.set_defaults(fn=cmd_absorbers, input_errors=(GraphError, ValueError))
 
     p = sub.add_parser("profile", help="connectivity profile of non-arc pairs")
     p.add_argument("--input", required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_profile)
+    p.set_defaults(fn=cmd_profile, input_errors=())
 
     p = sub.add_parser("solve", help="decide or search for a Hamilton cycle")
     p.add_argument("--input", required=True)
     p.add_argument("--method", choices=["brute", "dp", "absorb"], default="dp")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_solve)
+    p.set_defaults(fn=cmd_solve, input_errors=(TooLargeError,))
 
     p = sub.add_parser("sweep", help="run a seeded experiment sweep")
     p.add_argument("--spec", required=True, help="JSON sweep description")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timestamp", help="manifest timestamp override")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, input_errors=())
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; a UsageError, or a library error its subparser
+    declares in ``input_errors``, exits 2 with the error's message."""
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, *args.input_errors) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

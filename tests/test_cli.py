@@ -12,6 +12,7 @@ from oriham import (ConnectivityProfile, OrientedGraph, emit_edge_list, exact_dp
                     find_hamilton_absorption, feasible_a_values, generate_extremal,
                     parse_edge_list, random_min_semidegree, random_oriented, table_params)
 from oriham import cli, graph
+from oriham.absorption import ALPHA1, enumerate_weak_absorbers
 from oriham.cli import main
 from oriham.seeds import derive_seed
 
@@ -342,6 +343,22 @@ def test_absorbers_negative_alpha1_is_usage_error(tmp_path, capsys):
     assert json.loads(out)["members"] == [[2, 3, 4, 5]]
 
 
+def test_absorbers_alpha1_zero_is_not_the_default(tmp_path, capsys):
+    """--alpha1 0 reaches the enumeration as 0; only an absent --alpha1
+    means ALPHA1.  On this graph the two give different members."""
+    g = random_oriented(8, 0.5, 0)
+    path = write_graph(tmp_path, g)
+    argv = ["absorbers", "--input", path, "--pair", "0,1", "--kind", "weak"]
+    members = {}
+    for extra, alpha1 in (([], ALPHA1), (["--alpha1", "0"], Fraction(0))):
+        rc, out, _ = run(capsys, [*argv, *extra])
+        assert rc == 0
+        members[alpha1] = json.loads(out)["members"]
+        want = enumerate_weak_absorbers(g, 0, 1, alpha1)
+        assert members[alpha1] == [list(m) for m in want]
+    assert members[ALPHA1] != members[Fraction(0)]
+
+
 def test_main_reuses_one_parser(tmp_path, capsys):
     """main builds its parser once per process, and an option given to one
     command is not remembered by the next."""
@@ -373,10 +390,17 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     (["absorbers", "--pair", "0,2", "--k", "1"], "--k"),
     (["absorbers", "--pair", "0,2", "--kind", "strong", "--k", "2"], "--k"),
     (["absorbers", "--pair", "0,2", "--kind", "weak", "--k", "3"], "--k"),
+    (["absorbers", "--pair", "0,2", "--kind", "strong", "--alpha1", "5"], "--alpha1"),
+    (["absorbers", "--pair", "0,2", "--alpha1", "0"], "--alpha1"),
+    (["absorbers", "--pair", "0,2", "--kind", "connector", "--k", "1", "--alpha1", "5"],
+     "--alpha1"),
+    (["solve", "--method", "brute", "--seed", "7"], "--seed"),
+    (["solve", "--method", "dp", "--seed", "7"], "--seed"),
+    (["solve", "--seed", "0"], "--seed"),
 ])
 def test_flag_of_another_mode_is_usage_error(tmp_path, capsys, argv, flag):
-    """A flag the chosen condition or kind does not read is refused, not
-    ignored."""
+    """A flag the chosen condition, kind or method does not read is
+    refused, not ignored."""
     path = write_graph(tmp_path, cycle_graph(5))
     rc, out, err = run(capsys, [argv[0], "--input", path, *argv[1:]])
     assert rc == 2
@@ -678,6 +702,9 @@ def test_sweep_rejects_negative_counts(tmp_path, capsys):
     ({"kind": "sharpness", "n": 1e999, "a": 0}, "n"),
     ({"kind": "sharpness", "a": 0}, "n"),  # a missing required key reads None
     ({"kind": "robustness", "n": 8}, "a"),
+    ({"kind": "oracle", "arc_prob": "3/2"}, "arc_prob"),
+    ({"kind": "oracle", "arc_prob": -1}, "arc_prob"),
+    ({"kind": "pipeline", "min_rate": "7/3"}, "min_rate"),
 ])
 def test_sweep_bad_number_is_row_error(tmp_path, capsys, entry, key):
     spec = tmp_path / "spec.json"
@@ -687,6 +714,24 @@ def test_sweep_bad_number_is_row_error(tmp_path, capsys, entry, key):
     rows = json.loads(out)["rows"]
     assert [r["ok"] for r in rows] == [False, True]
     assert rows[0]["error"].startswith(f"ValueError: {key} = ")
+
+
+@pytest.mark.parametrize("entry, unread", [
+    ({"kind": "oracle", "cout": 1}, "cout"),
+    ({"kind": "pipeline", "n": 30, "count": 1}, "n"),
+    ({"kind": "sharpness", "n": 8, "a": 0, "seeds": 3, "ac_extra": 1}, "ac_extra, seeds"),
+    ({"kind": "robustness", "n": 8, "a": 0, "arc_prob": "1/2"}, "arc_prob"),
+])
+def test_sweep_unread_key_is_row_error(tmp_path, capsys, entry, unread):
+    """A key the entry's kind does not read fails its row instead of
+    running the kind's defaults."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([entry, {"kind": "oracle", "count": 0}]))
+    rc, out, _ = run(capsys, ["sweep", "--spec", str(spec)])
+    assert rc == 3
+    rows = json.loads(out)["rows"]
+    assert [r["ok"] for r in rows] == [False, True]
+    assert rows[0]["error"] == f"ValueError: {entry['kind']} reads no key {unread}"
 
 
 def test_sweep_lets_a_solver_key_error_escape(tmp_path, capsys, monkeypatch):

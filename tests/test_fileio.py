@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -161,7 +162,7 @@ def test_fast_path_matches_line_loop():
     loop's bitsets or defers, and parse_edge_list raises every error with
     the loop's message and line number.  Warnings are errors, so a numpy
     conversion that stops at data it cannot read fails the test."""
-    taken = 0
+    taken = Counter()
     files = 0
     for i in range(250):
         n = i % 13
@@ -172,13 +173,14 @@ def test_fast_path_matches_line_loop():
             want = _outcome(fileio._parse_lines, mutant)
             fast = fileio._parse_regular(mutant)
             if fast is not None:
-                taken += 1
+                taken[label] += 1
                 assert (fast.n, fast._out, fast._in, fast.arc_count) == want
             else:
                 assert label not in FAST_MUTANTS, (i, label)
             assert _outcome(parse_edge_list, mutant) == want
     assert files >= 4000
-    assert taken >= 1000
+    # every regular mutant of every file, and no other, takes the fast path
+    assert taken == {label: 250 for label in FAST_MUTANTS}
 
 
 def err(text):

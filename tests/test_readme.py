@@ -1,9 +1,11 @@
-"""The README's quickstart and CLI examples run as written."""
+"""The README's quickstart and CLI examples run as written, and its
+table of sweep keys is the CLI's."""
 
+import json
 import shlex
 from pathlib import Path
 
-from oriham.cli import main
+from oriham.cli import _SWEEPS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,3 +46,17 @@ def test_cli_examples_exit_as_documented(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert (tmp_path / "g.txt.json").exists()
     assert (tmp_path / "report.json").exists()
+
+
+def test_sweep_key_table_matches_the_cli():
+    """The README's table of sweep keys lists, in order, every key of
+    every kind in ``cli._SWEEPS`` with its default."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| kind | key | default |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip().strip("`") for cell in line.strip("|").split("|")))
+    assert rows == [(kind, key, "required" if default is None else json.dumps(default))
+                    for kind, (_, keys) in _SWEEPS.items() for key, default in keys.items()]
