@@ -28,7 +28,7 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice, repeat
@@ -54,9 +54,9 @@ WEAK_BUDGET = 100_000
 
 
 class NoConnectorAvailableError(LookupError):
-    def __init__(self, x: int, y: int, consumed: int):
-        super().__init__(f"no connector for ({x}, {y}) in unused reservoir "
-                         f"({consumed} vertices already consumed)")
+    def __init__(self, x: int, y: int, free: int):
+        super().__init__(f"no connector for ({x}, {y}) through the "
+                         f"{free.bit_count()} free reservoir vertices")
         self.pair = (x, y)
 
 
@@ -109,14 +109,6 @@ def _block_tuples(prefix: tuple[int, ...], last: int) -> Iterator[tuple[int, ...
     return zip(*map(repeat, prefix), iter_bits(last))
 
 
-def _first_connector(g: OrientedGraph, x: int, y: int, k: int,
-                     pool: int) -> tuple[int, ...] | None:
-    """The lexicographically first k-connector of (x, y) inside ``pool``."""
-    for prefix, last in _connector_blocks(g, x, y, k, pool):
-        return (*prefix, (last & -last).bit_length() - 1)
-    return None
-
-
 def _capped(found: Iterable, cap: int | None) -> list:
     """The first ``cap`` items of the lazy ``found`` (all for None); a cap
     below 1 raises ValueError."""
@@ -141,17 +133,17 @@ def enumerate_connectors(g: OrientedGraph, u: int, v: int, k: int,
     return _capped((t for block in blocks for t in _block_tuples(*block)), cap)
 
 
-def _connector_within(g: OrientedGraph, x: int, y: int,
-                      pool: int) -> tuple[int, ...] | None:
-    """Smallest internal vertex tuple joining x to y inside ``pool`` (a
-    bitmask excluding x and y), lexicographically first at that size, or
-    None.  Zero internals means the arc itself."""
-    if g.has_arc(x, y):
-        return ()
-    for k in (1, 2, 3):
-        inner = _first_connector(g, x, y, k, pool)
-        if inner is not None:
-            return inner
+def _connector_within(g: OrientedGraph, x: int, y: int, pool: int,
+                      drain: bool = False) -> tuple[int, ...] | None:
+    """The internal vertex tuple joining x to y inside ``pool`` (a bitmask
+    excluding x and y), or None: the first size, in the order (0, 1, 2, 3)
+    or with ``drain`` (1, 0, 2, 3), that has a connector, and the
+    lexicographically first one at that size.  Size 0 is the arc itself."""
+    for k in (1, 0, 2, 3) if drain else (0, 1, 2, 3):
+        if k == 0 and g.has_arc(x, y):
+            return ()
+        for prefix, last in _connector_blocks(g, x, y, k, pool) if k else ():
+            return (*prefix, (last & -last).bit_length() - 1)
     return None
 
 
@@ -459,19 +451,14 @@ def _reservoir_options(g: OrientedGraph, u: int, v: int, k: int,
     return opts
 
 
-@dataclass
+@dataclass(frozen=True)
 class Reservoir:
-    """Connector pool with single-use bookkeeping.
-
-    Queries search all unused reservoir vertices, so any reservoir vertex
-    can serve any later pair.  ``ledger`` holds consumed vertices.
-    """
+    """The connector pool ``build_reservoir`` chose.  A stitch spends each
+    vertex at most once: it keeps the free ones as a bitmask and passes it
+    to ``connect_through_reservoir``, so any free vertex can serve any
+    later pair."""
 
     vertices: frozenset[int]
-    ledger: set[int] = field(default_factory=set)
-
-    def unused(self) -> frozenset[int]:
-        return self.vertices - self.ledger
 
 
 def default_reservoir_size(n: int) -> int:
@@ -498,8 +485,8 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
     dense graph; a stage that leaves room for the next was walked in full.
     """
     budget = default_reservoir_size(g.n)
-    outside = g.full_mask() & ~mask_of(prefer) if prefer else 0
-    avoid_mask = mask_of(avoid)
+    avoid_mask = mask_of(map(g.check_vertex, avoid))
+    outside = g.full_mask() & ~mask_of(map(g.check_vertex, prefer)) if prefer else 0
     chosen: set[int] = set()
     covered: set[Pair] = set()
 
@@ -533,27 +520,26 @@ def build_reservoir(g: OrientedGraph, avoid: Iterable[int], *,
     return Reservoir(frozenset(chosen))
 
 
-def connect_through_reservoir(g: OrientedGraph, res: Reservoir,
-                              x: int, y: int,
+def connect_through_reservoir(g: OrientedGraph, free: int, x: int, y: int,
                               prefer_reservoir: bool = False) -> DiPath:
     """Directed path from x to y with at most 3 internal vertices, all
-    drawn from the unused reservoir; internal vertices are marked used.
+    drawn from the bitmask ``free`` of free reservoir vertices; the caller
+    takes the internal vertices out of ``free``.
 
-    A present arc x->y is returned as the 2-vertex path without touching
-    the reservoir.  With ``prefer_reservoir`` a single-vertex connector is
-    taken even when the direct arc exists, draining leftover reservoir
-    vertices into the joined path.  Raises NoConnectorAvailableError when
-    the unused part of the reservoir cannot bridge the pair.
+    A present arc x->y is returned as the 2-vertex path.  With
+    ``prefer_reservoir`` a single-vertex connector is taken even when the
+    direct arc exists, draining free reservoir vertices into the joined
+    path.  Raises OutOfRangeError for an id outside G, ValueError for an
+    endpoint in ``free``, and NoConnectorAvailableError when the free
+    vertices cannot bridge the pair.
     """
-    if x in res.vertices or y in res.vertices:
-        raise ValueError(f"endpoints ({x}, {y}) must lie outside the reservoir")
-    avail = mask_of(res.unused())
-    inner = _first_connector(g, x, y, 1, avail) if prefer_reservoir else None
+    g.check_vertex(x)
+    g.check_vertex(y)
+    if (free >> x | free >> y) & 1:
+        raise ValueError(f"endpoints ({x}, {y}) must lie outside the free reservoir")
+    inner = _connector_within(g, x, y, free, prefer_reservoir)
     if inner is None:
-        inner = _connector_within(g, x, y, avail)
-    if inner is None:
-        raise NoConnectorAvailableError(x, y, len(res.ledger))
-    res.ledger.update(inner)
+        raise NoConnectorAvailableError(x, y, free)
     return DiPath((x, *inner, y))
 
 
@@ -624,14 +610,17 @@ class AbsorbingPath:
         if self.path:
             DiPath(self.path).validate(g)
         pos = {v: i for i, v in enumerate(self.path)}
+
+        def follows(a: int, b: int) -> bool:  # b is on the path right after a
+            return pos.get(b, -2) == pos.get(a, -9) + 1
+
         for gad in self.strong:
-            if pos.get(gad.z, -2) != pos.get(gad.w, -9) + 1:
+            if not follows(gad.w, gad.z):
                 raise StitchFailureError(f"strong gadget {gad} not consecutive")
         for gad in self.weak:
-            iw, iz = pos[gad.w], pos[gad.z]
-            if self.path[iw + 1] != gad.wp or self.path[iz - 1] != gad.zp:
+            if not (follows(gad.w, gad.wp) and follows(gad.zp, gad.z)):
                 raise StitchFailureError(f"weak gadget {gad} endpoints misplaced")
-            if iz - iw < 3:
+            if pos[gad.z] - pos[gad.w] < 3:
                 raise StitchFailureError(f"weak gadget {gad} segment collapsed")
 
 

@@ -17,10 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .absorption import (AbsorbingPath, CapacityExhaustedError,
-                         NoConnectorAvailableError, Reservoir,
-                         VertexNotAbsorbableError, absorb_vertices,
-                         build_absorbing_path, build_reservoir,
-                         connect_through_reservoir)
+                         NoConnectorAvailableError, VertexNotAbsorbableError,
+                         absorb_vertices, build_absorbing_path,
+                         build_reservoir, connect_through_reservoir)
 from .graph import (DiCycle, DiPath, OrientedGraph, augment, iter_bits,
                     mask_of, nth_bit, verify_hamilton_cycle)
 from .seeds import derive_seed, rng_for
@@ -215,12 +214,9 @@ def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
     0)``; insertion is deterministic.  That draw contract fixes the cover a
     seed produces.
     """
-    pool = [v for v in range(g.n) if v not in avoid]
-    if not pool:
-        return CoverResult((), frozenset(), False)
+    rem = g.full_mask() & ~mask_of(map(g.check_vertex, avoid))
     out, inn = g._out, g._in
     rng = rng_for(seed, "cover", 0)
-    rem = mask_of(pool)
     paths: list[list[int]] = []
     while rem:
         start = _pick_bit(rem, rng)
@@ -257,12 +253,13 @@ def greedy_path_cover(g: OrientedGraph, avoid: frozenset[int] | set[int],
         paths.append(path)
 
     truncated = len(paths) > MAX_PATHS
+    uncovered: list[int] = []  # each vertex is on a path until truncation drops it
     if truncated:
         keep = set(map(tuple, sorted(paths, key=len, reverse=True)[:MAX_PATHS]))
+        uncovered = [v for p in paths if tuple(p) not in keep for v in p]
         paths = [p for p in paths if tuple(p) in keep]
-    covered = {v for p in paths for v in p}
     return CoverResult(tuple(DiPath(tuple(p)) for p in paths),
-                       frozenset(pool) - covered, truncated)
+                       frozenset(uncovered), truncated)
 
 
 def _pick_bit(mask: int, rng) -> int:
@@ -334,15 +331,15 @@ def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
     last = None  # (cover and stitch records, absorb failure) of the last stitch
     for attempt in range(STITCH_ATTEMPTS):
         cover = greedy_path_cover(g, excluded, derive_seed(seed, "cover", attempt))
-        stitched = _attempt_stitch(g, p_abs, cover.paths, res,
+        stitched = _attempt_stitch(g, p_abs, cover.paths, mask_of(res.vertices),
                                    rng_for(seed, "stitch", attempt),
                                    drain=attempt % 2 == 1)
         if stitched is None:
             continue
-        seq, used = stitched
-        done = (_cover_record(cover),
-                StageRecord("stitch", True, {"reservoir_used": len(used)}))
-        leftovers = sorted((res.vertices - used) | cover.uncovered)
+        seq, free = stitched
+        done = (_cover_record(cover), StageRecord("stitch", True, {
+            "reservoir_used": len(res.vertices) - free.bit_count()}))
+        leftovers = sorted({*iter_bits(free), *cover.uncovered})
         try:
             grown = absorb_vertices(g, p_abs, leftovers)
         except (CapacityExhaustedError, VertexNotAbsorbableError) as exc:
@@ -378,12 +375,13 @@ def _cover_record(cover: CoverResult) -> StageRecord:
 
 
 def _attempt_stitch(g: OrientedGraph, p_abs: AbsorbingPath,
-                    paths: Sequence[DiPath], res: Reservoir,
-                    rng, drain: bool = False) -> tuple[list[int], frozenset[int]] | None:
+                    paths: Sequence[DiPath], free: int,
+                    rng, drain: bool = False) -> tuple[list[int], int] | None:
     """One stitching attempt: order the cover paths (direct-arc greedy,
     choices drawn from ``rng``), then join consecutive units and close the
-    cycle through a fresh reservoir ledger.  ``drain`` routes junctions
-    through the reservoir even where direct arcs exist."""
+    cycle through the bitmask ``free`` of reservoir vertices, each spent at
+    most once; returns the sequence and the vertices left free.  ``drain``
+    routes junctions through the reservoir even where direct arcs exist."""
     units: list[list[int]] = []
     if p_abs.path:
         units.append(list(p_abs.path))
@@ -399,7 +397,6 @@ def _attempt_stitch(g: OrientedGraph, p_abs: AbsorbingPath,
         pool.remove(choice)
         units.append(choice)
 
-    scratch = Reservoir(res.vertices)
     seq: list[int] = []
     try:
         for i, unit in enumerate(units):
@@ -407,11 +404,12 @@ def _attempt_stitch(g: OrientedGraph, p_abs: AbsorbingPath,
             nxt = units[(i + 1) % len(units)]
             if unit[-1] == nxt[0]:  # single one-vertex unit cannot close
                 return None
-            link = connect_through_reservoir(g, scratch, unit[-1], nxt[0],
-                                             prefer_reservoir=drain)
-            seq.extend(link.vertices[1:-1])
+            inner = connect_through_reservoir(g, free, unit[-1], nxt[0],
+                                              prefer_reservoir=drain).vertices[1:-1]
+            seq.extend(inner)
+            free &= ~mask_of(inner)
     except NoConnectorAvailableError:
         return None
     if len(seq) != len(set(seq)):
         raise CertificateError(f"stitched sequence {seq} repeats a vertex")
-    return seq, frozenset(scratch.ledger)
+    return seq, free

@@ -1,5 +1,5 @@
 import random
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -36,7 +36,6 @@ from oriham import (
     table_params,
 )
 from oriham import absorption
-from oriham.absorption import Reservoir
 from oriham.graph import iter_bits, mask_of
 from oriham.seeds import derive_seed, rng_for
 
@@ -433,7 +432,7 @@ def test_default_reservoir_size():
 
 def _bridge(g, res, x, y):
     """Join x to y through the reservoir's vertices other than x and y."""
-    return connect_through_reservoir(g, Reservoir(res.vertices - {x, y}), x, y)
+    return connect_through_reservoir(g, mask_of(res.vertices - {x, y}), x, y)
 
 
 def test_reservoir_on_six_cycle():
@@ -445,7 +444,8 @@ def test_reservoir_on_six_cycle():
     assert _bridge(g, res, 2, 4).vertices == (2, 3, 4)
     with pytest.raises(NoConnectorAvailableError):
         _bridge(g, res, 3, 5)
-    assert res.unused() == res.vertices
+    with pytest.raises(FrozenInstanceError):
+        res.vertices = frozenset()
 
 
 def test_reservoir_transitive_tournament_empty():
@@ -470,56 +470,73 @@ def test_reservoir_respects_avoid():
     assert res.vertices.isdisjoint({1, 2, 3})
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"prefer": frozenset({99})}, {"prefer": frozenset({-2})},
+    {"avoid": [99]}, {"avoid": [-1]},
+])
+def test_reservoir_rejects_out_of_range_ids(kwargs):
+    # unchecked, 99 would be ignored (in prefer, leaving the reservoir
+    # empty) and -2 would raise a bare ValueError from the bit shift
+    with pytest.raises(OutOfRangeError):
+        build_reservoir(cycle_graph(6), kwargs.get("avoid", ()), prefer=kwargs.get("prefer"))
+
+
 LEDGER5 = OrientedGraph(5, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4)])
 
 
 def test_connect_single_use_ledger():
-    res = Reservoir(frozenset({2, 3}))
-    p = connect_through_reservoir(LEDGER5, res, 0, 1)
+    free = mask_of({2, 3})
+    p = connect_through_reservoir(LEDGER5, free, 0, 1)
     assert p.vertices == (0, 2, 1)
-    assert res.ledger == {2}
-    p = connect_through_reservoir(LEDGER5, res, 0, 1)
+    assert p.vertices[1:-1] == (2,)
+    free &= ~mask_of(p.vertices[1:-1])
+    p = connect_through_reservoir(LEDGER5, free, 0, 1)
     assert p.vertices == (0, 3, 1)
-    assert res.ledger == {2, 3}
+    assert p.vertices[1:-1] == (3,)
+    free &= ~mask_of(p.vertices[1:-1])
     with pytest.raises(NoConnectorAvailableError) as ei:
-        connect_through_reservoir(LEDGER5, res, 0, 1)
+        connect_through_reservoir(LEDGER5, free, 0, 1)
     assert ei.value.pair == (0, 1)
 
 
 def test_connect_direct_arc_free():
-    res = Reservoir(frozenset({2, 3}))
-    p = connect_through_reservoir(LEDGER5, res, 0, 4)
+    p = connect_through_reservoir(LEDGER5, mask_of({2, 3}), 0, 4)
     assert p.vertices == (0, 4)
-    assert res.ledger == set()
+    assert p.vertices[1:-1] == ()
 
 
 def test_connect_drain_mode():
     g = LEDGER5.add_arc(2, 4)
-    res = Reservoir(frozenset({2, 3}))
-    p = connect_through_reservoir(g, res, 0, 4, prefer_reservoir=True)
+    p = connect_through_reservoir(g, mask_of({2, 3}), 0, 4, prefer_reservoir=True)
     assert p.vertices == (0, 2, 4)
-    assert res.ledger == {2}
+    assert p.vertices[1:-1] == (2,)
 
 
 def test_connect_two_hop():
     g = OrientedGraph(4, [(0, 2), (2, 3), (3, 1)])
-    res = Reservoir(frozenset({2, 3}))
-    p = connect_through_reservoir(g, res, 0, 1)
+    p = connect_through_reservoir(g, mask_of({2, 3}), 0, 1)
     assert p.vertices == (0, 2, 3, 1)
-    assert res.ledger == {2, 3}
+    assert p.vertices[1:-1] == (2, 3)
 
 
 def test_connect_three_hop():
     g = OrientedGraph(6, [(0, 2), (2, 3), (3, 4), (4, 1)])
-    res = Reservoir(frozenset({2, 3, 4}))
-    p = connect_through_reservoir(g, res, 0, 1)
+    p = connect_through_reservoir(g, mask_of({2, 3, 4}), 0, 1)
     assert p.vertices == (0, 2, 3, 4, 1)
 
 
 def test_connect_rejects_reservoir_endpoints():
-    res = Reservoir(frozenset({2, 3}))
     with pytest.raises(ValueError):
-        connect_through_reservoir(LEDGER5, res, 2, 1)
+        connect_through_reservoir(LEDGER5, mask_of({2, 3}), 2, 1)
+
+
+def test_connect_rejects_out_of_range_endpoints():
+    # an unchecked -1 would index the last vertex's bitsets and join (0, 2, -1)
+    g = LEDGER5.add_arc(2, 4)
+    for x, y in ((0, -1), (-1, 4), (0, 5)):
+        for drain in (False, True):
+            with pytest.raises(OutOfRangeError):
+                connect_through_reservoir(g, mask_of({2, 3}), x, y, prefer_reservoir=drain)
 
 
 def _first_connector(g, x, y, pool, sizes):
@@ -549,14 +566,14 @@ def test_connector_choice_rule():
         for drain in (False, True):
             pick = (_first_connector(g, x, y, pool, (1,)) if drain else None) or want
             drained += drain and pick != want
-            res = Reservoir(pool)
+            assert absorption._connector_within(g, x, y, mask_of(pool), drain) == pick
             if pick is None:
                 with pytest.raises(NoConnectorAvailableError):
-                    connect_through_reservoir(g, res, x, y, prefer_reservoir=drain)
+                    connect_through_reservoir(g, mask_of(pool), x, y, prefer_reservoir=drain)
                 continue
-            path = connect_through_reservoir(g, res, x, y, prefer_reservoir=drain)
+            path = connect_through_reservoir(g, mask_of(pool), x, y, prefer_reservoir=drain)
             assert path.vertices == (x, *pick, y)
-            assert res.ledger == set(pick)
+            assert path.vertices[1:-1] == pick
     assert sizes_seen == {0, 1, 2, 3, None}
     assert drained
 
@@ -672,13 +689,12 @@ def test_reservoir_serves_sampled_pairs():
     ok = 0
     for i, (x, y) in enumerate(pairs):
         burn = rng_for(7, "ledger", i).choice(sorted(res.vertices))
-        scratch = Reservoir(res.vertices, {burn})
         try:
-            p = connect_through_reservoir(g, scratch, x, y)
+            p = connect_through_reservoir(g, mask_of(res.vertices - {burn}), x, y)
         except NoConnectorAvailableError:
             continue
         p.validate(g)
-        assert set(p.vertices[1:-1]) <= res.vertices
+        assert set(p.vertices[1:-1]) <= res.vertices - {burn}
         ok += 1
     assert ok >= 48
 
@@ -863,6 +879,17 @@ def test_validate_catches_broken_registry():
     bad = AbsorbingPath(path=(1, 2), strong=(StrongGadget(2, 1),))
     with pytest.raises(StitchFailureError):
         bad.validate(STRONG3)
+
+
+@pytest.mark.parametrize(("gadget", "why"), [
+    (WeakGadget(0, 1, 3, 5), "misplaced"),  # z is off the path
+    (WeakGadget(4, 0, 1, 2), "misplaced"),  # w is the path's last vertex
+    (WeakGadget(0, 1, 1, 2), "collapsed"),  # no segment between w' and z'
+])
+def test_validate_catches_misplaced_weak_gadget(gadget, why):
+    g = OrientedGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    with pytest.raises(StitchFailureError, match=why):
+        AbsorbingPath(path=(0, 1, 2, 3, 4), weak=(gadget,)).validate(g)
 
 
 def test_absorb_nothing_is_identity():

@@ -17,6 +17,7 @@ from oriham import (
     DiCycle,
     HamiltonResult,
     OrientedGraph,
+    OutOfRangeError,
     SelfLoopError,
     StageRecord,
     TooLargeError,
@@ -34,6 +35,7 @@ from oriham import (
     verify_hamilton_cycle,
 )
 from oriham import absorption, hamilton
+from oriham.graph import mask_of
 from oriham.seeds import derive_seed
 
 import _oracles
@@ -185,18 +187,17 @@ c4 = OrientedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 check("absorb endpoints", lambda: absorb_vertices(
     c3, AbsorbingPath((0, 1), strong=(StrongGadget(1, 0),)), [2]), InvalidPathError)
 # the link 1 -> 2 runs through 3, which the next unit visits again
-hamilton.connect_through_reservoir = lambda g, res, x, y, prefer_reservoir=False: (
+hamilton.connect_through_reservoir = lambda g, free, x, y, prefer_reservoir=False: (
     DiPath((x, 3, y) if x == 1 else (x, y)))
 check("stitch repeat", lambda: hamilton._attempt_stitch(
-    c4, AbsorbingPath((0, 1)), [DiPath((2, 3))], Reservoir(frozenset()),
-    random.Random(0)),
+    c4, AbsorbingPath((0, 1)), [DiPath((2, 3))], 0, random.Random(0)),
     CertificateError)
 # a stitched sequence that does not open with the absorbing path
 hamilton.build_absorbing_path = lambda *args, **kwargs: AbsorbingPath((0, 1))
 hamilton.build_reservoir = lambda *args, **kwargs: Reservoir(frozenset())
 hamilton.greedy_path_cover = lambda *args: CoverResult(
     (DiPath((2,)),), frozenset({3}), False)
-hamilton._attempt_stitch = lambda *args, **kwargs: ([1, 0, 2], frozenset())
+hamilton._attempt_stitch = lambda *args, **kwargs: ([1, 0, 2], 0)
 hamilton.absorb_vertices = lambda g, p_abs, leftovers: p_abs
 check("stitch prefix", lambda: hamilton.find_hamilton_absorption(c4), CertificateError)
 """
@@ -385,6 +386,13 @@ def test_cover_respects_avoid():
     assert len(cov.paths) == 1
     assert sorted(cov.paths[0].vertices) == [0, 1, 2, 3, 5, 6, 7, 8]
     assert cov.uncovered == frozenset()
+
+
+@pytest.mark.parametrize("avoid", [{-1}, {9}, {-1, 9}, {0, 9}])
+def test_cover_rejects_out_of_range_avoid(avoid):
+    # unchecked, both ids would be ignored and the whole graph covered
+    with pytest.raises(OutOfRangeError):
+        greedy_path_cover(cycle_graph(9), avoid)
 
 
 def test_cover_deterministic():
@@ -673,6 +681,26 @@ def test_pipeline_retries_after_failed_absorb(monkeypatch):
     assert len(covers) == 2
     assert [s.stage for s in res.trace] == [
         "absorbing_path", "reservoir", "cover", "stitch", "absorb", "close"]
+
+
+def test_stitch_leaves_the_reservoir_minus_the_sequence(monkeypatch):
+    # every attempt stitches here, and absorbing fails, so all of them run
+    real, seen = hamilton._attempt_stitch, []
+
+    def wrapper(g, p_abs, paths, free, rng, drain=False):
+        seen.append((free, drain, real(g, p_abs, paths, free, rng, drain)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(hamilton, "_attempt_stitch", wrapper)
+    _counted(monkeypatch, "absorb_vertices", fail_on=lambda k: True)
+    res = find_hamilton_absorption(DENSE_96, seed=1)
+    reservoir = res.trace[1].detail["vertices"]
+    assert len(seen) == hamilton.STITCH_ATTEMPTS
+    assert {drain for _, drain, _ in seen} == {False, True}
+    for free, _, (seq, left) in seen:
+        assert free.bit_count() == reservoir
+        assert left == free & ~mask_of(seq)
+    assert any(left != free for free, _, (_, left) in seen)
 
 
 def test_pipeline_absorb_failure_is_last(monkeypatch):
