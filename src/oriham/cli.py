@@ -32,9 +32,8 @@ from .conditions import (HypothesisViolatedError, check_ghouila_houri,
                          check_nash_williams, check_ore,
                          check_semidegree_consequence, check_sparse_set_bound,
                          check_woodall, frac_json)
-from .extremal import (InfeasibleParamsError, PartitionNotCoveringError,
-                       find_sharp_pair, generate_extremal, table_params,
-                       verify_partition)
+from .extremal import (InfeasibleParamsError, find_sharp_pair,
+                       generate_extremal, table_params, verify_partition)
 from .fileio import EdgeListParseError, emit_edge_list, parse_edge_list
 from .generators import random_min_semidegree, random_oriented
 from .graph import GraphError, OrientedGraph, OutOfRangeError, Partition4
@@ -564,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_fraction, required=True)
     p.add_argument("--ceta", type=_fraction, default=Fraction(1))
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_score_partition, input_errors=(PartitionNotCoveringError,))
+    p.set_defaults(fn=cmd_score_partition, input_errors=(ValueError,))
 
     p = sub.add_parser("absorbers", help="enumerate gadgets for one pair")
     p.add_argument("--input", required=True)

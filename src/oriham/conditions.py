@@ -154,9 +154,11 @@ def check_nash_williams(g: OrientedGraph) -> ConditionReport:
 def check_sparse_set_bound(g: OrientedGraph, xs: frozenset[int] | set[int],
                            sigma: Fraction) -> ConditionReport:
     """Size bound |X| <= n/4 + 21*sigma*n for sets spanning at most
-    sigma*n^2 arcs.  Raises HypothesisViolatedError when e(X) exceeds
-    sigma*n^2."""
+    sigma*n^2 arcs.  Raises HypothesisViolatedError when sigma is negative
+    or e(X) exceeds sigma*n^2."""
     sigma = Fraction(sigma)
+    if sigma < 0:
+        raise HypothesisViolatedError(f"sigma must not be negative, got {sigma}")
     n = g.n
     e_x = g.count_arcs_within(xs)
     if e_x > sigma * n * n:

@@ -289,9 +289,12 @@ def verify_partition(g: OrientedGraph, part: Partition4, eta: Fraction,
                      c_eta: Fraction = Fraction(1)) -> ExtremalityReport:
     """Score a labeled partition against the near-extremal structure
     conditions at resolution ``eta``; verdict true iff all slacks >= 0."""
+    eta, c_eta = Fraction(eta), Fraction(c_eta)
+    for name, tol in (("eta", eta), ("c_eta", c_eta)):
+        if tol < 0:
+            raise ValueError(f"{name} must not be negative, got {tol}")
     if not part.covers(g):
         raise PartitionNotCoveringError("partition must cover V(G) exactly")
-    eta, c_eta = Fraction(eta), Fraction(c_eta)
     slacks = _partition_slacks(g, part, eta, c_eta)
     return ExtremalityReport(eta, c_eta, slacks,
                              all(s >= 0 for s in slacks.values()))
@@ -317,10 +320,12 @@ def find_extremal_partition(g: OrientedGraph, eta: Fraction, seed: int = 0
     compared exactly, as the integers of ``_scaled_slacks``; the positive
     scale keeps their order, so the moves accepted are the same.
     """
+    eta = Fraction(eta)
+    if eta < 0:
+        raise ValueError(f"eta must not be negative, got {eta}")
     n = g.n
     if n < 4:
         return None
-    eta = Fraction(eta)
     p, q = eta.numerator, eta.denominator
 
     def score(sizes: list[int], e: list[int]) -> tuple[int, int]:

@@ -11,9 +11,13 @@ most 18 ASCII digits, the form ``emit_edge_list`` writes) holding a valid
 graph is parsed with numpy in one pass, to the graph the line loop would
 build.  Every other file goes through the line-by-line loop, so each error
 keeps its message and line number whichever path was tried first.
+Parsing the same text as the last successful parse returns that graph,
+which is immutable, without parsing again.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -27,9 +31,18 @@ class EdgeListParseError(ValueError):
         self.line = line
 
 
+_last_parse = (b"", None)  # sha256 digest of the last valid text, its graph
+
+
 def parse_edge_list(text: str) -> OrientedGraph:
-    g = _parse_regular(text)
-    return g if g is not None else _parse_lines(text)
+    global _last_parse
+    # "surrogatepass": a lone surrogate still reaches the line loop's error
+    key = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
+    last_key, g = _last_parse
+    if key != last_key:
+        g = _parse_regular(text) or _parse_lines(text)
+        _last_parse = (key, g)
+    return g
 
 
 # byte classes of a regular file: 1 is a digit, 2 the space inside a line,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import time
 from fractions import Fraction
 
@@ -99,6 +100,25 @@ def test_check_ore_positive(tmp_path, capsys):
     assert rep["margin"] == {"num": 1, "den": 2}
 
 
+def test_check_rereads_a_rewritten_file(tmp_path, capsys):
+    """A file rewritten with another graph of the same byte length, its
+    mtime restored, is read again: no cache keyed on the path or its
+    stat serves the old graph."""
+    transitive = OrientedGraph(3, [(0, 1), (0, 2), (1, 2)])
+    path = write_graph(tmp_path, cycle_graph(3))
+    stat = os.stat(path)
+    argv = ["check", "--condition", "ore", "--input", path]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert json.loads(out)["report"]["margin"] == {"num": 1, "den": 2}
+    write_graph(tmp_path, transitive)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    rc, out, _ = run(capsys, argv)
+    assert rc == 1
+    assert json.loads(out)["report"]["margin"] == {"num": -3, "den": 2}
+
+
 def test_check_nash_williams_negative(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(3))
     rc, out, _ = run(capsys, ["check", "--condition", "nash-williams",
@@ -139,6 +159,17 @@ def test_check_sparse_set_hypothesis_violation(tmp_path, capsys):
                               "--input", path, "--set", "0,1,2",
                               "--sigma", "0"])
     assert rc == 2
+
+
+def test_check_sparse_set_negative_sigma_is_usage_error(tmp_path, capsys):
+    g, _ = generate_extremal(table_params(12, 0))
+    path = write_graph(tmp_path, g)
+    rc, out, err = run(capsys, ["check", "--condition", "sparse-set",
+                                "--input", path, "--set", "9,10,11",
+                                "--sigma=-1"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "sigma must not be negative" in err
 
 
 @pytest.mark.parametrize("ids", ["99", "-1", "0,12"])
@@ -220,6 +251,25 @@ def test_score_partition_roundtrip(tmp_path, capsys):
                                "--eta", "1/20"])
     assert rc == 0
     assert json.loads(text)["report"]["verdict"] is True
+
+
+@pytest.mark.parametrize("flag, name", [("--eta=-1/20", "eta"),
+                                        ("--ceta=-1", "c_eta")])
+def test_score_partition_negative_tolerance_is_usage_error(tmp_path, capsys,
+                                                           flag, name):
+    """A negative tolerance is rejected input, not a rejected partition;
+    eta = 0 stays allowed."""
+    out = tmp_path / "x.edges"
+    run(capsys, ["generate", "--n", "12", "--a", "0", "--out", str(out)])
+    argv = ["score-partition", "--input", str(out),
+            "--partition", str(out) + ".json"]
+    rc, text, err = run(capsys, [*argv, "--eta", "1/20", flag])
+    assert rc == 2
+    assert text == ""
+    assert err.startswith("error:") and f"{name} must not be negative" in err
+    rc, text, _ = run(capsys, [*argv, "--eta", "0"])
+    assert rc == 0
+    assert json.loads(text)["report"]["eta"] == {"num": 0, "den": 1}
 
 
 def test_score_partition_rejects_swap(tmp_path, capsys):

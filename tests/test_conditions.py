@@ -197,6 +197,11 @@ def test_sparse_set_rejects_dense_input():
         check_sparse_set_bound(C3, frozenset({0, 1, 2}), Fraction(0))
 
 
+def test_sparse_set_rejects_negative_sigma():
+    with pytest.raises(HypothesisViolatedError, match="sigma must not be negative"):
+        check_sparse_set_bound(C3, frozenset(), Fraction(-1))
+
+
 def test_reports_serialize():
     d = check_ore(C3).to_json_dict()
     assert d["condition"] == "ore"

@@ -323,6 +323,18 @@ def test_verify_requires_cover():
         verify_partition(g, bad, Fraction(1, 100))
 
 
+def test_negative_tolerance_is_rejected():
+    g, part = generate_extremal(table_params(12, 0))
+    for eta, c_eta, name in ((Fraction(-1, 20), Fraction(1), "eta"),
+                             (Fraction(1, 20), Fraction(-1), "c_eta")):
+        with pytest.raises(ValueError, match=f"^{name} must not be negative"):
+            verify_partition(g, part, eta, c_eta)
+    with pytest.raises(ValueError, match="^eta must not be negative"):
+        find_extremal_partition(g, Fraction(-1, 20))
+    assert verify_partition(g, part, Fraction(0)).verdict
+    assert find_extremal_partition(g, Fraction(0))[1].verdict
+
+
 def test_report_serializes():
     g, part = generate_extremal(table_params(12, 0))
     d = verify_partition(g, part, Fraction(1, 100)).to_json_dict()

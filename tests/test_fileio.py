@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -90,6 +91,70 @@ def test_parse_regular_file_skips_line_loop(monkeypatch):
     assert inserts == []
     assert g == ref and g.arc_count == ref.arc_count
     assert [g.in_bits(v) for v in range(g.n)] == [ref.in_bits(v) for v in range(ref.n)]
+
+
+def counted_regular(monkeypatch):
+    """Empty the parse memo and count the calls of the vectorised path,
+    which every parse that misses the memo makes first."""
+    monkeypatch.setattr(fileio, "_last_parse", (b"", None))
+    calls = []
+    real = fileio._parse_regular
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(fileio, "_parse_regular", counted)
+    return calls
+
+
+def test_same_text_is_parsed_once(monkeypatch):
+    calls = counted_regular(monkeypatch)
+    text = emit_edge_list(random_oriented(40, 0.5, 11))
+    g = parse_edge_list(text)
+    assert parse_edge_list(text) is g
+    assert len(calls) == 1
+
+
+def test_edited_text_is_parsed_again(monkeypatch):
+    calls = counted_regular(monkeypatch)
+    ref = random_oriented(40, 0.5, 11)
+    text = emit_edge_list(ref)
+    u, v = ref.arcs()[0]
+    edited = text.replace(f"\n{u} {v}\n", f"\n{v} {u}\n", 1)
+    g = parse_edge_list(text)
+    flipped = parse_edge_list(edited)
+    assert flipped.has_arc(v, u) and not flipped.has_arc(u, v)
+    assert parse_edge_list(text) == g == ref
+    assert len(calls) == 3
+
+
+def test_error_keeps_the_memo(monkeypatch):
+    """A text that raises is parsed, and raises, on every call; the last
+    successful parse stays in the memo."""
+    calls = counted_regular(monkeypatch)
+    text = emit_edge_list(random_oriented(12, 0.5, 2))
+    g = parse_edge_list(text)
+    for _ in range(2):
+        assert err("3 2\n0 1\n1 0\n").line == 3
+    assert len(calls) == 3
+    assert fileio._last_parse[1] is g
+    assert parse_edge_list(text) is g
+    assert len(calls) == 3
+
+
+def test_lone_surrogate_is_a_parse_error():
+    for _ in range(2):
+        assert err("3 1\n0 \ud800\n").line == 2
+
+
+def test_memo_keeps_the_digest_not_the_text(monkeypatch):
+    counted_regular(monkeypatch)
+    text = emit_edge_list(random_oriented(30, 0.5, 5))
+    g = parse_edge_list(text)
+    key, kept = fileio._last_parse
+    assert key == hashlib.sha256(text.encode()).digest() and len(key) == 32
+    assert kept is g
 
 
 def _outcome(parse, text):
