@@ -230,59 +230,58 @@ SLACK_NAMES = ("size_AC", "size_B", "size_D", "e_AB", "e_BC", "e_CD", "e_DA",
                "e_BD", "e_DB", "e_A", "e_C", "e_AC", "e_D")
 
 
-def _arc_counts(g: OrientedGraph, masks: list[int]) -> list[int]:
-    """E[X][Y], flattened to index 4X + Y, for the four class bitmasks."""
-    e = [0] * 16
-    for x, xmask in enumerate(masks):
-        for v in iter_bits(xmask):
-            out = g.out_bits(v)
-            for y, ymask in enumerate(masks):
-                e[4 * x + y] += (out & ymask).bit_count()
-    return e
+def _arc_counts(g: OrientedGraph, classes) -> np.ndarray:
+    """E[X][Y], the arcs from class X to class Y, as exact ints: one
+    popcount per (vertex, class) over the class sets and ``g._out``."""
+    masks = [mask_of(xs) for xs in classes]
+    return np.array([[sum((g._out[v] & m).bit_count() for v in xs) for m in masks]
+                     for xs in classes], dtype=object)
 
 
-def _scaled_slacks(n: int, sizes: list[int], e: list[int], p: int,
-                   q: int) -> tuple[int, ...]:
+def _scaled_slacks(n: int, sizes: np.ndarray, e: np.ndarray, p: int,
+                   q: int) -> np.ndarray:
     """The slacks of SLACK_NAMES times s = 8q, which makes each an integer,
-    from the class sizes and the arc counts E[X][Y] of ``_arc_counts``.
+    from class sizes (..., 4) and arc counts E[X][Y] (..., 4, 4) as in
+    ``_arc_counts``, broadcast over the leading axes; the slacks fill a
+    last axis of 13, in the dtype of ``e``.
 
     Size conditions have tolerance c_eta*eta*n + SIZE_ROUNDING_ALLOWANCE and
     edge-count conditions c_eta*eta*n^2, where p/q = c_eta*eta in lowest
     terms.
     """
-    a, b, c, d = sizes
+    a, b, c, d = np.moveaxis(sizes, -1, 0)
     s = 8 * q
     size_tol = 8 * p * n + SIZE_ROUNDING_ALLOWANCE * s
     edge_tol = 8 * p * n * n
-    return (
+    return np.stack((
         size_tol - abs(s * (a + c) - 4 * q * n),
         size_tol - abs(s * b - 2 * q * n),
         size_tol - abs(s * d - 2 * q * n),
-        s * e[1] - (s * a * b - edge_tol),     # A -> B
-        s * e[6] - (s * b * c - edge_tol),     # B -> C
-        s * e[11] - (s * c * d - edge_tol),    # C -> D
-        s * e[12] - (s * a * d - edge_tol),    # D -> A
-        s * e[7] - (q * a * n - edge_tol),     # B -> D
-        s * e[13] - (q * c * n - edge_tol),    # D -> B
+        s * e[..., 0, 1] - (s * a * b - edge_tol),     # A -> B
+        s * e[..., 1, 2] - (s * b * c - edge_tol),     # B -> C
+        s * e[..., 2, 3] - (s * c * d - edge_tol),     # C -> D
+        s * e[..., 3, 0] - (s * a * d - edge_tol),     # D -> A
+        s * e[..., 1, 3] - (q * a * n - edge_tol),     # B -> D
+        s * e[..., 3, 1] - (q * c * n - edge_tol),     # D -> B
         # within-class lower bounds use the binomial count: a full tournament
         # on X carries exactly |X|(|X|-1)/2 arcs, and the n/8-order diagonal
         # term sits below what an n^2-order tolerance can absorb at small n
-        s * e[0] - (4 * q * a * (a - 1) - edge_tol),    # inside A
-        s * e[10] - (4 * q * c * (c - 1) - edge_tol),   # inside C
-        edge_tol - s * e[2],                   # A -> C
-        edge_tol - s * e[15],                  # inside D
-    )
+        s * e[..., 0, 0] - (4 * q * a * (a - 1) - edge_tol),    # inside A
+        s * e[..., 2, 2] - (4 * q * c * (c - 1) - edge_tol),    # inside C
+        edge_tol - s * e[..., 0, 2],                   # A -> C
+        edge_tol - s * e[..., 3, 3],                   # inside D
+    ), axis=-1, dtype=e.dtype)
 
 
 def _partition_slacks(g: OrientedGraph, part: Partition4, eta: Fraction,
                       c_eta: Fraction) -> dict[str, Fraction]:
     classes = (part.A, part.B, part.C, part.D)
     tol = c_eta * eta
-    e = _arc_counts(g, [mask_of(xs) for xs in classes])
-    scaled = _scaled_slacks(g.n, [len(xs) for xs in classes], e,
+    sizes = np.array([len(xs) for xs in classes], dtype=object)
+    scaled = _scaled_slacks(g.n, sizes, _arc_counts(g, classes),
                             tol.numerator, tol.denominator)
     s = 8 * tol.denominator
-    return {name: Fraction(x, s) for name, x in zip(SLACK_NAMES, scaled)}
+    return {name: Fraction(x, s) for name, x in zip(SLACK_NAMES, scaled.tolist())}
 
 
 def verify_partition(g: OrientedGraph, part: Partition4, eta: Fraction,
@@ -313,12 +312,15 @@ def find_extremal_partition(g: OrientedGraph, eta: Fraction, seed: int = 0
     A, B, C, D).  Returns the best partition found with its report, or None
     for graphs too small to split.
 
-    A move is scored without recounting: the search keeps the class sizes
-    and the 4x4 matrix E[X][Y] of arcs from class X to class Y, and moving v
-    from S to T shifts v's out- and in-neighbour counts per class (8
-    popcounts per v) from row and column S to row and column T.  Slacks are
-    compared exactly, as the integers of ``_scaled_slacks``; the positive
-    scale keeps their order, so the moves accepted are the same.
+    Each pass scores its moves in one numpy evaluation: the search keeps
+    the class sizes, the 4x4 matrix E[X][Y] of arcs from class X to class
+    Y, and per vertex its out- and in-neighbour counts per class (n x 4
+    each), so moving v from S to T shifts E by R[X]*outs[v, Y] +
+    R[Y]*ins[v, X] with R = e_T - e_S.  The first improving (v, T) in
+    order is taken; then only v's remaining destinations and the vertices
+    after it are scored again.  Slacks are compared exactly, as the
+    integers of ``_scaled_slacks``, in int64 when the largest can fit and
+    as Python ints otherwise; the positive scale keeps their order.
     """
     eta = Fraction(eta)
     if eta < 0:
@@ -327,63 +329,60 @@ def find_extremal_partition(g: OrientedGraph, eta: Fraction, seed: int = 0
     if n < 4:
         return None
     p, q = eta.numerator, eta.denominator
+    # each scaled slack is at most 8(p + q)n^2 + 16q in size, a slack sum 13
+    # times that
+    dtype = np.int64 if 13 * (8 * (p + q) * n * n + 16 * q) < 2**63 else object
+    eye = np.eye(4, dtype=dtype)
+    imbalance = [o.bit_count() - i.bit_count() for o, i in zip(g._out, g._in)]
 
-    def score(sizes: list[int], e: list[int]) -> tuple[int, int]:
-        slacks = _scaled_slacks(n, sizes, e, p, q)
-        return (min(slacks), sum(slacks))
-
-    def degree_start(rng) -> tuple[set[int], ...]:
+    def degree_start(rng) -> np.ndarray:
         jitter = {v: rng.random() for v in range(n)}
-        order = sorted(range(n),
-                       key=lambda v: (g.out_degree(v) - g.in_degree(v), jitter[v]))
+        order = sorted(range(n), key=lambda v: (imbalance[v], jitter[v]))
         quarter = max(1, round(n / 4))
-        d_side = set(order[:quarter])
-        b_side = set(order[-quarter:])
-        b_mask, d_mask = mask_of(b_side), mask_of(d_side)
-        a_side, c_side = set(), set()
+        labels = np.zeros(n, np.intp)  # class indices, A = 0 .. D = 3
+        labels[order[:quarter]], labels[order[-quarter:]] = 3, 1
+        b_mask, d_mask = mask_of(order[-quarter:]), mask_of(order[:quarter])
         for v in order[quarter:-quarter]:
-            a_like = ((g.out_bits(v) & b_mask).bit_count()
-                      + (g.in_bits(v) & d_mask).bit_count())
-            c_like = ((g.in_bits(v) & b_mask).bit_count()
-                      + (g.out_bits(v) & d_mask).bit_count())
-            (a_side if a_like >= c_like else c_side).add(v)
-        return a_side, b_side, c_side, d_side
+            a_like = (g._out[v] & b_mask).bit_count() + (g._in[v] & d_mask).bit_count()
+            c_like = (g._in[v] & b_mask).bit_count() + (g._out[v] & d_mask).bit_count()
+            labels[v] = 0 if a_like >= c_like else 2
+        return labels
 
-    def local_search(classes: tuple[set[int], ...]) -> Partition4:
-        masks = [mask_of(xs) for xs in classes]
-        sizes = [len(xs) for xs in classes]
-        e = _arc_counts(g, masks)
-        current = score(sizes, e)
+    def local_search(labels: np.ndarray) -> Partition4:
+        masks = [mask_of(np.flatnonzero(labels == k).tolist()) for k in range(4)]
+        outs, ins = (np.array([[(row & m).bit_count() for m in masks] for row in rows],
+                              dtype) for rows in (g._out, g._in))
+        onehot = eye[labels]
+        sizes, e = onehot.sum(0), onehot.T @ outs
+        slacks = _scaled_slacks(n, sizes, e, p, q)
+        current = (slacks.min(), slacks.sum())
         for _ in range(PARTITION_MOVE_BUDGET):
             improved = False
-            for v in range(n):
-                src = next(k for k, m in enumerate(masks) if m >> v & 1)
-                # v has no loop, so these counts stay valid as v moves
-                out_v, in_v = g.out_bits(v), g.in_bits(v)
-                outs = [(out_v & m).bit_count() for m in masks]
-                ins = [(in_v & m).bit_count() for m in masks]
-                for dst in range(4):
-                    if dst == src:
-                        continue
-                    cand_e = e[:]
-                    for k in range(4):
-                        cand_e[4 * src + k] -= outs[k]
-                        cand_e[4 * dst + k] += outs[k]
-                        cand_e[4 * k + src] -= ins[k]
-                        cand_e[4 * k + dst] += ins[k]
-                    cand_sizes = sizes[:]
-                    cand_sizes[src] -= 1
-                    cand_sizes[dst] += 1
-                    cand = score(cand_sizes, cand_e)
-                    if cand > current:
-                        e, sizes, current = cand_e, cand_sizes, cand
-                        masks[src] &= ~(1 << v)
-                        masks[dst] |= 1 << v
-                        src = dst
-                        improved = True
+            v, last = 0, -1  # every candidate up to (v, last) has been tried
+            while v < n:
+                r = eye - eye[labels[v:], None]  # r[w - v, T] = e_T - e_S, w in S
+                cand_e = (e + r[..., :, None] * outs[v:, None, None, :]
+                          + r[..., None, :] * ins[v:, None, :, None])
+                slacks = _scaled_slacks(n, sizes + r, cand_e, p, q)
+                lows, sums = slacks.min(-1), slacks.sum(-1)
+                better = (lows > current[0]) | ((lows == current[0]) & (sums > current[1]))
+                better[0, :last + 1] = False
+                hits = np.flatnonzero(better)
+                if not hits.size:
+                    break
+                i, last = divmod(int(hits[0]), 4)
+                v += i
+                src, labels[v] = labels[v], last
+                e, sizes = cand_e[i, last], sizes + r[i, last]
+                current, improved = (lows[i, last], sums[i, last]), True
+                # v has no loop, so only its neighbours' counts change
+                for counts, bits in ((outs, g._in[v]), (ins, g._out[v])):
+                    nbrs = list(iter_bits(bits))
+                    counts[nbrs, src] -= 1
+                    counts[nbrs, last] += 1
             if not improved:
                 break
-        return Partition4.of(*(iter_bits(m) for m in masks))
+        return Partition4.of(*(np.flatnonzero(labels == k).tolist() for k in range(4)))
 
     best: tuple[Partition4, ExtremalityReport] | None = None
     for r in range(PARTITION_RESTARTS):

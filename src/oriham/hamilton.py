@@ -289,7 +289,7 @@ def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
     returned.  A failure reports the first failing stage in the trace:
     ``stitch`` when no attempt stitched, else ``absorb`` from the last
     attempt that stitched.  The verdict is never "none_exists".  Below
-    semidegree (3n - 4) / 8, a G with no cycle factor fails first at
+    semidegree max(3n - 4, 1) / 8, a G with no cycle factor fails first at
     ``cover``, reason "no cycle factor", with a checked ``hall_witness``
     set S (``hall_set``) and |N+(S)| (``out_neighbourhood``).
     """
@@ -302,8 +302,9 @@ def find_hamilton_absorption(g: OrientedGraph, seed: int = 0) -> HamiltonResult:
     if g.n == 0:
         return fail("cover", {"reason": "empty graph"})
     # from semidegree (3n - 4) / 8 up, large oriented graphs are Hamiltonian
-    # (Keevash, Kuhn and Osthus 2009), so there the test only costs time
-    if 8 * g.min_semidegree() < 3 * g.n - 4 and (witness := hall_witness(g)):
+    # (Keevash, Kuhn and Osthus 2009), so there the test only costs time; the
+    # max keeps n = 1, where 3n - 4 < 0, under the test
+    if 8 * g.min_semidegree() < max(3 * g.n - 4, 1) and (witness := hall_witness(g)):
         return fail("cover", {"reason": "no cycle factor", "hall_set": witness[0],
                               "out_neighbourhood": witness[1]})
 

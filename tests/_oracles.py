@@ -336,11 +336,13 @@ def slacks_oracle(g, part, eta, c_eta):
 
 
 def partition_search_oracle(g, eta, c_eta=Fraction(1), seed=0,
-                            restarts=6, move_budget=400):
+                            restarts=6, move_budget=400, moves=None):
     """The partition search with every candidate move rescored in full:
     degree-imbalance starts, first-improvement single-vertex moves (v
     ascending, destination A, B, C, D) ranked by (min slack, slack sum),
-    one report per restart, stop at the first accepted partition."""
+    one report per restart, stop at the first accepted partition.  A list
+    passed as ``moves`` receives (restart, pass, v, src, dst) for each
+    accepted move."""
     n = g.n
     if n < 4:
         return None
@@ -367,10 +369,10 @@ def partition_search_oracle(g, eta, c_eta=Fraction(1), seed=0,
             (a_side if a_like >= c_like else c_side).add(v)
         return Partition4.of(a_side, b_side, c_side, d_side)
 
-    def local_search(part):
+    def local_search(part, restart):
         current = part
         current_score = score(current)
-        for _ in range(move_budget):
+        for sweep in range(move_budget):
             improved = False
             for v in range(n):
                 for dst in "ABCD":
@@ -387,13 +389,15 @@ def partition_search_oracle(g, eta, c_eta=Fraction(1), seed=0,
                     if cand_score > current_score:
                         current, current_score = cand, cand_score
                         improved = True
+                        if moves is not None:
+                            moves.append((restart, sweep, v, src, dst))
             if not improved:
                 break
         return current
 
     best = None
     for r in range(restarts):
-        part = local_search(degree_start(rng_for(seed, "partition-search", r)))
+        part = local_search(degree_start(rng_for(seed, "partition-search", r)), r)
         slacks = slacks_oracle(g, part, eta, c_eta)
         report = ExtremalityReport(eta, c_eta, slacks,
                                    all(s >= 0 for s in slacks.values()))

@@ -632,6 +632,19 @@ def test_solve_absorb_empty_graph_fails_at_cover(tmp_path, capsys):
     assert [(r["stage"], r["ok"]) for r in res["trace"]] == [("cover", False)]
 
 
+def test_solve_absorb_one_vertex_fails_at_cover(tmp_path, capsys):
+    # 8 * 0 < 3 * 1 - 4 is false, so a bare semidegree gate skipped the
+    # Hall test here and every stitch attempt ran before failing
+    path = write_graph(tmp_path, OrientedGraph(1))
+    rc, out, _ = run(capsys, ["solve", "--input", path, "--method", "absorb"])
+    assert rc == 1
+    res = json.loads(out)["result"]
+    assert res["verdict"] == "not_found"
+    assert [(r["stage"], r["ok"]) for r in res["trace"]] == [("cover", False)]
+    assert res["trace"][0]["detail"] == {"reason": "no cycle factor",
+                                         "hall_set": [0], "out_neighbourhood": 0}
+
+
 def test_generate_solve_pipeline_roundtrip(tmp_path, capsys):
     out = tmp_path / "x.edges"
     run(capsys, ["generate", "--n", "13", "--a", "1", "--seed", "4",

@@ -384,12 +384,22 @@ def _certify_graph():
     return generate_extremal(table_params(192, 24, ac_extra=48, d_extra=24))[0]
 
 
+def _double_move_case():
+    """(graph, eta, c_eta, seed) on which the search moves vertex 2 twice
+    in one visit, C -> B, then B -> D, and would end elsewhere had it gone
+    on to vertex 3 after the first move; found by scanning seeded random
+    graphs with the oracle."""
+    return random_oriented(14, 0.4, 4), Fraction(1, 20), Fraction(1), 4
+
+
 def _search_cases():
     """(graph, eta, c_eta, seed): the certify-size graph, random graphs
-    n = 4..40 and four-block graphs with extra arcs, cycling through every
-    (eta, c_eta) pair.  Most random graphs exhaust every restart."""
+    n = 4..40, the double-move case and four-block graphs with extra arcs,
+    cycling through every (eta, c_eta) pair.  Most random graphs exhaust
+    every restart."""
     combos = [(eta, c) for eta in SEARCH_ETAS for c in SEARCH_C_ETAS]
     yield _certify_graph(), Fraction(1, 20), Fraction(1), 0
+    yield _double_move_case()
     for i, n in enumerate(range(4, 41, 3)):
         eta, c = combos[i % len(combos)]
         yield random_oriented(n, 0.3 + (n % 5) / 10, n), eta, c, n
@@ -425,6 +435,39 @@ def test_partition_search_matches_oracle(monkeypatch):
     assert min(restarts) == 1                       # the first start accepted
 
 
+def test_partition_search_rechecks_the_moved_vertex():
+    """After a move, v's later destinations are tried from its new class
+    before the search goes on to v + 1."""
+    g, eta, c_eta, seed = _double_move_case()
+    moves = []
+    expected = _oracles.partition_search_oracle(g, eta * c_eta, seed=seed, moves=moves)
+    # (restart, pass, v) repeats: one visit moved v twice
+    assert any(a[:3] == b[:3] for a, b in zip(moves, moves[1:]))
+    found = find_extremal_partition(g, eta * c_eta, seed=seed)
+    assert found[0] == expected[0]
+    assert found[1].to_json_dict() == expected[1].to_json_dict()
+
+
+# a float eta has a 2^55-order denominator, and the others overflow int64
+# outright, so the scaled slacks at these need Python ints
+EXACT_ETAS = (Fraction(0.05), Fraction(1, 10**30), Fraction(7, 3**40))
+
+
+@pytest.mark.parametrize("eta", EXACT_ETAS, ids=["float", "1e-30", "7/3^40"])
+@pytest.mark.parametrize("graph", ["certify", "random23"])
+def test_partition_scoring_is_exact_at_large_denominators(graph, eta):
+    g = _certify_graph() if graph == "certify" else random_oriented(23, 0.5, 23)
+    found = find_extremal_partition(g, eta, seed=3)
+    expected = _oracles.partition_search_oracle(g, eta, seed=3)
+    assert found[0] == expected[0]
+    assert found[1].to_json_dict() == expected[1].to_json_dict()
+    assert found[1].slacks == _oracles.slacks_oracle(g, found[0], eta, Fraction(1))
+    labels = [v % 4 for v in range(g.n)]
+    part = Partition4.of(*([v for v in range(g.n) if labels[v] == k] for k in range(4)))
+    assert (verify_partition(g, part, eta, Fraction(3, 7)).slacks
+            == _oracles.slacks_oracle(g, part, eta, Fraction(3, 7)))
+
+
 def test_partition_slacks_match_oracle():
     rng = random.Random(11)
     empty_classes = 0
@@ -457,6 +500,20 @@ def test_partition_search_work_bound(monkeypatch):
     found = find_extremal_partition(_certify_graph(), Fraction(1, 20))
     assert found is not None and found[1].verdict
     assert 1 <= len(calls) <= extremal.PARTITION_RESTARTS
+
+
+def test_partition_search_peak_memory():
+    # the search keeps n x 4 neighbour counts and no n x n array (an n x n
+    # float64 copy alone would be 32 MiB here)
+    g, _ = generate_extremal(table_params(2048, 256, ac_extra=512, d_extra=256, seed=1))
+    tracemalloc.start()
+    try:
+        found = find_extremal_partition(g, Fraction(1, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is not None and found[1].verdict
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("n, minima", [(16, [11, 8, 9, 10]),
