@@ -231,57 +231,59 @@ SLACK_NAMES = ("size_AC", "size_B", "size_D", "e_AB", "e_BC", "e_CD", "e_DA",
 
 
 def _arc_counts(g: OrientedGraph, classes) -> np.ndarray:
-    """E[X][Y], the arcs from class X to class Y, as exact ints: one
-    popcount per (vertex, class) over the class sets and ``g._out``."""
+    """E[X][Y], the arcs from class X to class Y, in int64: one popcount
+    per (vertex, class) over the class sets and ``g._out``."""
     masks = [mask_of(xs) for xs in classes]
     return np.array([[sum((g._out[v] & m).bit_count() for v in xs) for m in masks]
-                     for xs in classes], dtype=object)
+                     for xs in classes], dtype=np.int64)
 
 
-def _scaled_slacks(n: int, sizes: np.ndarray, e: np.ndarray, p: int,
-                   q: int) -> np.ndarray:
-    """The slacks of SLACK_NAMES times s = 8q, which makes each an integer,
-    from class sizes (..., 4) and arc counts E[X][Y] (..., 4, 4) as in
-    ``_arc_counts``, broadcast over the leading axes; the slacks fill a
-    last axis of 13, in the dtype of ``e``.
+def _scaled_slacks(n: int, sizes, e, q: int, size_tol: int, edge_tol: int) -> tuple:
+    """The slacks of SLACK_NAMES from n, the class sizes a, b, c, d = ``sizes``
+    and the arc counts E[X][Y] = ``e[X][Y]`` (Python ints, or int64 arrays
+    with class axes first).  With p/q = c_eta*eta in lowest terms, size_tol =
+    8pn + 8q * SIZE_ROUNDING_ALLOWANCE and edge_tol = 8pn^2 give the exact
+    slacks times 8q: 8pn + qD on size conditions, 8pn^2 + qD on edge ones,
+    D an eta-free integer, |D| <= 4n^2 + 16.
 
-    Size conditions have tolerance c_eta*eta*n + SIZE_ROUNDING_ALLOWANCE and
-    edge-count conditions c_eta*eta*n^2, where p/q = c_eta*eta in lowest
-    terms.
+    The search ranks moves in int64 with q = 2, size_tol = 16 *
+    SIZE_ROUNDING_ALLOWANCE and edge_tol = delta: 2D and 2D + delta.  Over q,
+    less 8pn/q, the exact slacks are D and D + Delta, Delta = 8pn(n-1)/q.
+    delta = floor(Delta) + ceil(Delta) makes k -> 2k and k + Delta -> 2k +
+    delta increasing: minima compare exactly, ties too, and sums differ by a
+    constant.  Delta >= 2^39 exceeds every difference of two D, so clamping
+    delta at 2^40 keeps that.
     """
-    a, b, c, d = np.moveaxis(sizes, -1, 0)
+    a, b, c, d = sizes
     s = 8 * q
-    size_tol = 8 * p * n + SIZE_ROUNDING_ALLOWANCE * s
-    edge_tol = 8 * p * n * n
-    return np.stack((
+    return (
         size_tol - abs(s * (a + c) - 4 * q * n),
         size_tol - abs(s * b - 2 * q * n),
         size_tol - abs(s * d - 2 * q * n),
-        s * e[..., 0, 1] - (s * a * b - edge_tol),     # A -> B
-        s * e[..., 1, 2] - (s * b * c - edge_tol),     # B -> C
-        s * e[..., 2, 3] - (s * c * d - edge_tol),     # C -> D
-        s * e[..., 3, 0] - (s * a * d - edge_tol),     # D -> A
-        s * e[..., 1, 3] - (q * a * n - edge_tol),     # B -> D
-        s * e[..., 3, 1] - (q * c * n - edge_tol),     # D -> B
+        s * e[0][1] - (s * a * b - edge_tol),     # A -> B
+        s * e[1][2] - (s * b * c - edge_tol),     # B -> C
+        s * e[2][3] - (s * c * d - edge_tol),     # C -> D
+        s * e[3][0] - (s * a * d - edge_tol),     # D -> A
+        s * e[1][3] - (q * a * n - edge_tol),     # B -> D
+        s * e[3][1] - (q * c * n - edge_tol),     # D -> B
         # within-class lower bounds use the binomial count: a full tournament
         # on X carries exactly |X|(|X|-1)/2 arcs, and the n/8-order diagonal
         # term sits below what an n^2-order tolerance can absorb at small n
-        s * e[..., 0, 0] - (4 * q * a * (a - 1) - edge_tol),    # inside A
-        s * e[..., 2, 2] - (4 * q * c * (c - 1) - edge_tol),    # inside C
-        edge_tol - s * e[..., 0, 2],                   # A -> C
-        edge_tol - s * e[..., 3, 3],                   # inside D
-    ), axis=-1, dtype=e.dtype)
+        s * e[0][0] - (4 * q * a * (a - 1) - edge_tol),    # inside A
+        s * e[2][2] - (4 * q * c * (c - 1) - edge_tol),    # inside C
+        edge_tol - s * e[0][2],                   # A -> C
+        edge_tol - s * e[3][3],                   # inside D
+    )
 
 
-def _partition_slacks(g: OrientedGraph, part: Partition4, eta: Fraction,
-                      c_eta: Fraction) -> dict[str, Fraction]:
-    classes = (part.A, part.B, part.C, part.D)
-    tol = c_eta * eta
-    sizes = np.array([len(xs) for xs in classes], dtype=object)
-    scaled = _scaled_slacks(g.n, sizes, _arc_counts(g, classes),
-                            tol.numerator, tol.denominator)
-    s = 8 * tol.denominator
-    return {name: Fraction(x, s) for name, x in zip(SLACK_NAMES, scaled.tolist())}
+def _exact_report(n: int, sizes: list[int], e: list[list[int]], eta: Fraction,
+                  c_eta: Fraction) -> ExtremalityReport:
+    """The report for class sizes and arc counts E[X][Y], in Python ints."""
+    p, q = (c_eta * eta).as_integer_ratio()
+    scaled = _scaled_slacks(n, sizes, e, q,
+                            8 * p * n + 8 * q * SIZE_ROUNDING_ALLOWANCE, 8 * p * n * n)
+    slacks = {name: Fraction(x, 8 * q) for name, x in zip(SLACK_NAMES, scaled)}
+    return ExtremalityReport(eta, c_eta, slacks, all(s >= 0 for s in slacks.values()))
 
 
 def verify_partition(g: OrientedGraph, part: Partition4, eta: Fraction,
@@ -294,9 +296,9 @@ def verify_partition(g: OrientedGraph, part: Partition4, eta: Fraction,
             raise ValueError(f"{name} must not be negative, got {tol}")
     if not part.covers(g):
         raise PartitionNotCoveringError("partition must cover V(G) exactly")
-    slacks = _partition_slacks(g, part, eta, c_eta)
-    return ExtremalityReport(eta, c_eta, slacks,
-                             all(s >= 0 for s in slacks.values()))
+    classes = (part.A, part.B, part.C, part.D)
+    return _exact_report(g.n, [len(xs) for xs in classes],
+                         _arc_counts(g, classes).tolist(), eta, c_eta)
 
 
 def find_extremal_partition(g: OrientedGraph, eta: Fraction, seed: int = 0
@@ -312,15 +314,13 @@ def find_extremal_partition(g: OrientedGraph, eta: Fraction, seed: int = 0
     A, B, C, D).  Returns the best partition found with its report, or None
     for graphs too small to split.
 
-    Each pass scores its moves in one numpy evaluation: the search keeps
-    the class sizes, the 4x4 matrix E[X][Y] of arcs from class X to class
-    Y, and per vertex its out- and in-neighbour counts per class (n x 4
-    each), so moving v from S to T shifts E by R[X]*outs[v, Y] +
-    R[Y]*ins[v, X] with R = e_T - e_S.  The first improving (v, T) in
-    order is taken; then only v's remaining destinations and the vertices
-    after it are scored again.  Slacks are compared exactly, as the
-    integers of ``_scaled_slacks``, in int64 when the largest can fit and
-    as Python ints otherwise; the positive scale keeps their order.
+    Each pass scores its moves in one numpy evaluation from the class
+    sizes, the 4x4 arc counts E[X][Y] and the 4 x n out- and in-neighbour
+    counts per class: moving v from S to T shifts E by R[X]*outs[Y, v] +
+    R[Y]*ins[X, v], R = e_T - e_S.  The first improving (v, T) is taken and
+    scoring resumes at v's remaining destinations.  Moves rank in int64 by
+    the surrogate of ``_scaled_slacks``, in the exact order at every eta;
+    each restart's report is scored from the sizes and E it ends with.
     """
     eta = Fraction(eta)
     if eta < 0:
@@ -328,11 +328,9 @@ def find_extremal_partition(g: OrientedGraph, eta: Fraction, seed: int = 0
     n = g.n
     if n < 4:
         return None
-    p, q = eta.numerator, eta.denominator
-    # each scaled slack is at most 8(p + q)n^2 + 16q in size, a slack sum 13
-    # times that
-    dtype = np.int64 if 13 * (8 * (p + q) * n * n + 16 * q) < 2**63 else object
-    eye = np.eye(4, dtype=dtype)
+    gap = 8 * eta * n * (n - 1)  # Delta of _scaled_slacks
+    delta = min(math.floor(gap) + math.ceil(gap), 2**40)
+    eye = np.eye(4, dtype=np.int64)
     imbalance = [o.bit_count() - i.bit_count() for o, i in zip(g._out, g._in)]
 
     def degree_start(rng) -> np.ndarray:
@@ -348,23 +346,25 @@ def find_extremal_partition(g: OrientedGraph, eta: Fraction, seed: int = 0
             labels[v] = 0 if a_like >= c_like else 2
         return labels
 
-    def local_search(labels: np.ndarray) -> Partition4:
+    def score(sizes, e):  # (min, sum) of the int64 surrogate slacks
+        slacks = np.stack(_scaled_slacks(n, sizes, e, 2, 16 * SIZE_ROUNDING_ALLOWANCE, delta))
+        return slacks.min(0), slacks.sum(0)
+
+    def local_search(labels: np.ndarray) -> tuple[Partition4, ExtremalityReport]:
         masks = [mask_of(np.flatnonzero(labels == k).tolist()) for k in range(4)]
-        outs, ins = (np.array([[(row & m).bit_count() for m in masks] for row in rows],
-                              dtype) for rows in (g._out, g._in))
-        onehot = eye[labels]
-        sizes, e = onehot.sum(0), onehot.T @ outs
-        slacks = _scaled_slacks(n, sizes, e, p, q)
-        current = (slacks.min(), slacks.sum())
+        outs, ins = (np.array([[(row & m).bit_count() for row in rows] for m in masks],
+                              np.int64) for rows in (g._out, g._in))
+        sizes, e = np.bincount(labels, minlength=4), (outs @ eye[labels]).T
+        current = score(sizes, e)
         for _ in range(PARTITION_MOVE_BUDGET):
             improved = False
             v, last = 0, -1  # every candidate up to (v, last) has been tried
             while v < n:
-                r = eye - eye[labels[v:], None]  # r[w - v, T] = e_T - e_S, w in S
-                cand_e = (e + r[..., :, None] * outs[v:, None, None, :]
-                          + r[..., None, :] * ins[v:, None, :, None])
-                slacks = _scaled_slacks(n, sizes + r, cand_e, p, q)
-                lows, sums = slacks.min(-1), slacks.sum(-1)
+                # r[X, w - v, T] = [X = T] - [X = S], w in S
+                r = eye[:, None, :] - eye[:, labels[v:], None]
+                cand_e = (e[:, :, None, None] + r[:, None] * outs[:, v:, None]
+                          + r[None] * ins[:, None, v:, None])
+                lows, sums = score(sizes[:, None, None] + r, cand_e)
                 better = (lows > current[0]) | ((lows == current[0]) & (sums > current[1]))
                 better[0, :last + 1] = False
                 hits = np.flatnonzero(better)
@@ -373,24 +373,23 @@ def find_extremal_partition(g: OrientedGraph, eta: Fraction, seed: int = 0
                 i, last = divmod(int(hits[0]), 4)
                 v += i
                 src, labels[v] = labels[v], last
-                e, sizes = cand_e[i, last], sizes + r[i, last]
+                e, sizes = cand_e[:, :, i, last], sizes + r[:, i, last]
                 current, improved = (lows[i, last], sums[i, last]), True
                 # v has no loop, so only its neighbours' counts change
                 for counts, bits in ((outs, g._in[v]), (ins, g._out[v])):
                     nbrs = list(iter_bits(bits))
-                    counts[nbrs, src] -= 1
-                    counts[nbrs, last] += 1
+                    counts[src, nbrs] -= 1
+                    counts[last, nbrs] += 1
             if not improved:
                 break
-        return Partition4.of(*(np.flatnonzero(labels == k).tolist() for k in range(4)))
+        part = Partition4.of(*(np.flatnonzero(labels == k).tolist() for k in range(4)))
+        return part, _exact_report(n, sizes.tolist(), e.tolist(), eta, Fraction(1))
 
     best: tuple[Partition4, ExtremalityReport] | None = None
     for r in range(PARTITION_RESTARTS):
-        rng = rng_for(seed, "partition-search", r)
-        part = local_search(degree_start(rng))
-        report = verify_partition(g, part, eta)
-        if best is None or report.min_slack() > best[1].min_slack():
-            best = (part, report)
+        found = local_search(degree_start(rng_for(seed, "partition-search", r)))
+        if best is None or found[1].min_slack() > best[1].min_slack():
+            best = found
         if best[1].verdict:
             break
     return best

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -410,16 +411,21 @@ def _search_cases():
         yield (g, *combos[i], i)
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(extremal, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extremal, name, counted)
+    return calls
+
+
 def test_partition_search_matches_oracle(monkeypatch):
     restarts = []
-    calls = []
-    real = extremal.verify_partition
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(extremal, "verify_partition", counted)
+    calls = _counting(monkeypatch, "_exact_report")  # one report per restart
     for g, eta, c_eta, seed in _search_cases():
         calls.clear()
         # the search reads c_eta only through the product c_eta * eta
@@ -448,8 +454,9 @@ def test_partition_search_rechecks_the_moved_vertex():
     assert found[1].to_json_dict() == expected[1].to_json_dict()
 
 
-# a float eta has a 2^55-order denominator, and the others overflow int64
-# outright, so the scaled slacks at these need Python ints
+# a float eta has a 2^55-order denominator, and the others' exact scaled
+# slacks overflow int64 outright: the search ranks moves at these by its int64
+# surrogate, and the reports hold Python ints
 EXACT_ETAS = (Fraction(0.05), Fraction(1, 10**30), Fraction(7, 3**40))
 
 
@@ -480,26 +487,66 @@ def test_partition_slacks_match_oracle():
         empty_classes += any(not xs for xs in part.classes().values())
         eta = Fraction(rng.randint(0, 12), rng.randint(1, 40))
         c_eta = SEARCH_C_ETAS[t % 3]
-        got = extremal._partition_slacks(g, part, eta, c_eta)
+        got = verify_partition(g, part, eta, c_eta).slacks
         want = _oracles.slacks_oracle(g, part, eta, c_eta)
         assert list(got.items()) == list(want.items())
     assert empty_classes > 100
 
 
 def test_partition_search_work_bound(monkeypatch):
-    """Moves are scored from the arc-count matrix: the slacks are evaluated
-    only for the one report per restart."""
-    calls = []
-    real = extremal._partition_slacks
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(extremal, "_partition_slacks", counted)
+    """Moves are scored from the arc-count matrix: the exact slacks are
+    evaluated only for the one report per restart, from the sizes and E the
+    search holds, and the arcs are counted at most once per search."""
+    reports = _counting(monkeypatch, "_exact_report")
+    recounts = _counting(monkeypatch, "_arc_counts")
     found = find_extremal_partition(_certify_graph(), Fraction(1, 20))
     assert found is not None and found[1].verdict
-    assert 1 <= len(calls) <= extremal.PARTITION_RESTARTS
+    assert len(reports) == 1 and len(recounts) <= 1
+    for g, eta, c_eta, seed in list(_search_cases())[2:10]:
+        reports.clear()
+        recounts.clear()
+        assert find_extremal_partition(g, eta * c_eta, seed=seed) is not None
+        assert 1 <= len(reports) <= extremal.PARTITION_RESTARTS
+        assert len(recounts) <= 1
+
+
+@pytest.mark.parametrize("eta", [*EXACT_ETAS, Fraction(10**30)],
+                         ids=["float", "1e-30", "7/3^40", "1e30"])
+def test_partition_search_scores_in_int64(monkeypatch, eta):
+    """Every move is ranked in int64, whatever eta's size; only the
+    per-restart reports hold Python ints."""
+    real = extremal._scaled_slacks
+    dtypes = set()
+
+    def typed(*args):
+        out = real(*args)
+        if isinstance(args[2], np.ndarray):
+            dtypes.update(np.asarray(x).dtype for x in out)
+        else:
+            assert all(type(x) is int for x in out)
+        return out
+
+    monkeypatch.setattr(extremal, "_scaled_slacks", typed)
+    assert find_extremal_partition(_certify_graph(), eta, seed=3) is not None
+    assert dtypes == {np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("graph, eta, seed", [
+    ("certify", Fraction(10**30), 3),
+    ((23, 0.5, 23), Fraction(10**30), 3),
+    ((9, 0.5, 902), Fraction(1, 20), 2),
+    ((64, 0.5, 65), Fraction(1), 1),
+], ids=["certify-1e30", "random23-1e30", "random9-1/20", "random64-1"])
+def test_partition_search_surrogate_matches_oracle(graph, eta, seed):
+    """The surrogate's offset delta on the edge slacks, against the oracle:
+    clamped at eta = 10^30; odd where Delta = 8 eta n(n-1) is not an integer
+    (144/5 at n = 9, where delta = 2*floor(Delta) changes the partition);
+    and 64512 at n = 64, eta = 1, where a clamp at 2^12 would."""
+    g = _certify_graph() if graph == "certify" else random_oriented(*graph)
+    found = find_extremal_partition(g, eta, seed=seed)
+    expected = _oracles.partition_search_oracle(g, eta, seed=seed)
+    assert found[0] == expected[0]
+    assert found[1].to_json_dict() == expected[1].to_json_dict()
 
 
 def test_partition_search_peak_memory():
